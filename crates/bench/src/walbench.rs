@@ -21,6 +21,7 @@
 use mbp_randx::SeedStream;
 use mbp_wal::{recover_dir, RecoveredState, WalConfig, WalEvent, WalWriter};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Fsync intervals exercised by the sweep (records between fsyncs).
@@ -105,9 +106,13 @@ fn seeded_history(seed: u64, n: usize) -> Vec<WalEvent> {
         .collect()
 }
 
-/// Scratch directory for one benchmark run.
+/// Scratch directory for one benchmark run, unique within the process:
+/// two runs in one process (the unit tests run in parallel) must never
+/// share, or one truncates the segment the other is recovering.
 fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mbp-walbench-{}-{tag}", std::process::id()))
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("mbp-walbench-{}-{run}-{tag}", std::process::id()))
 }
 
 /// Appends the whole history to a fresh segment at the given fsync

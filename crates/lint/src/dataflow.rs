@@ -58,7 +58,8 @@ pub fn is_serve_root(f: &FnItem) -> bool {
     })
 }
 
-/// Development-harness crates: test oracles, benches, load generators,
+/// Development-harness crates: test oracles, benches (the repository
+/// benchmark `mbpbench/` too, a workspace of its own), load generators,
 /// the CLI, and the linter itself. They are dev-dependencies (or separate
 /// binaries) that never link into the serving process, and their panics
 /// are part of their contract — a test oracle *should* abort loudly on an
@@ -68,6 +69,7 @@ pub fn is_harness(f: &FnItem) -> bool {
     const PREFIXES: &[&str] = &[
         "crates/testkit/",
         "crates/bench/",
+        "mbpbench/",
         "crates/loadgen/",
         "crates/cli/",
         "crates/lint/",
@@ -96,6 +98,7 @@ pub fn is_det_scope(f: &FnItem) -> bool {
 pub fn is_taint_barrier(f: &FnItem) -> bool {
     f.rel_path.starts_with("crates/obs/src/")
         || f.rel_path.starts_with("crates/bench/")
+        || f.rel_path.starts_with("mbpbench/")
         || f.scope_off.contains("taint-det")
 }
 
@@ -667,6 +670,28 @@ mod tests {
         ]);
         let (findings, _) = analyze_taint(&g);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn repository_benchmark_is_a_harness_and_a_taint_barrier() {
+        // Name-based resolution binds core's `spawn` and `record_sale`
+        // calls to the benchmark's same-named methods too; those edges
+        // must neither carry its clock reads into det scope nor make its
+        // indexing reachable from a serve root.
+        let g = graph(&[
+            (
+                "crates/core/src/mechanism.rs",
+                "fn perturb_into() -> f64 { spawn(); 1.0 }\n",
+            ),
+            (
+                "mbpbench/src/workloads.rs",
+                "fn spawn() { let t = Instant::now(); let v = [1]; let _ = v[0]; }\n",
+            ),
+        ]);
+        let (taint, _) = analyze_taint(&g);
+        assert!(taint.is_empty(), "{taint:?}");
+        let (panics, _) = analyze_reach_panic(&g);
+        assert!(panics.is_empty(), "{panics:?}");
     }
 
     #[test]

@@ -55,10 +55,17 @@ pub(crate) struct ConnConfig {
 pub(crate) enum CycleResult {
     /// Bytes moved or requests dispatched this turn.
     Progress,
-    /// Nothing to do; the caller may park briefly.
+    /// Nothing to do; the caller may wait for [`Conn::interest`].
     Idle,
     /// The connection is gone; drop it.
     Closed,
+}
+
+/// The socket readiness a connection's next cycle would act on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interest {
+    pub read: bool,
+    pub write: bool,
 }
 
 /// A decoded frame awaiting dispatch, or a decode rejection that must be
@@ -120,7 +127,7 @@ impl Conn {
         }
         let mut progress = false;
         let drain_mode = draining.load(Ordering::Relaxed);
-        if !self.closing && !drain_mode {
+        if self.wants_read(cfg, drain_mode) {
             progress |= self.fill_read_buf(cfg);
         }
         progress |= self.decode_frames(cfg);
@@ -138,6 +145,29 @@ impl Conn {
         } else {
             CycleResult::Idle
         }
+    }
+
+    /// What the next [`Conn::cycle`] would act on: reading only when it
+    /// would read, writing only while `write_buf` holds unsent bytes. A
+    /// socket that is ready for something the cycle ignores would wake a
+    /// readiness wait over and over for nothing, so the IO loop waits on
+    /// exactly this.
+    pub(crate) fn interest(&self, cfg: &ConnConfig, draining: bool) -> Interest {
+        Interest {
+            read: self.wants_read(cfg, draining),
+            write: self.write_pos < self.write_buf.len(),
+        }
+    }
+
+    /// The connection's socket, for the IO loop's readiness wait.
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The read phase runs unless the connection is closing, the server
+    /// is draining, or `read_buf` is at its cap.
+    fn wants_read(&self, cfg: &ConnConfig, draining: bool) -> bool {
+        !self.closing && !draining && self.read_buf.len() < cfg.read_buf_limit
     }
 
     /// `true` when at least one complete frame sits unparsed in the

@@ -11,7 +11,9 @@
 //! timeouts, and a graceful drain-then-shutdown on SIGTERM or a control
 //! frame. A `GET /metrics` Prometheus side port exposes the live
 //! `mbp-obs` registry (`mbp.serve.*` spans, counters, and gauges cover
-//! every phase: read/decode/batch/dispatch/encode/write).
+//! every phase: read/decode/batch/dispatch/encode/write). Idle IO loops
+//! block in `poll(2)` until a socket or a wake-up needs them, so the
+//! crate is Unix only.
 //!
 //! Determinism contract: each connection's noise RNG is seeded by its
 //! client's `Hello` frame, every connection is pinned to one IO worker,

@@ -5,7 +5,7 @@
 //! (sized from [`mbp_par::max_threads`], so `MBP_THREADS` / `--threads`
 //! govern it) and feeds each worker one long-lived IO loop via
 //! [`mbp_par::ThreadPool::run`]. The shared compute pool is deliberately
-//! *not* used: a parked IO loop would pin its workers and starve fork-join
+//! *not* used: a blocked IO loop would pin its workers and starve fork-join
 //! regions elsewhere in the process. Pool workers are marked, so any
 //! parallel region reached from a dispatch (e.g. a publish retraining)
 //! degrades to sequential instead of oversubscribing.
@@ -14,16 +14,34 @@
 //! never migrate, which keeps every connection's cycle single-threaded —
 //! the property the per-connection RNG determinism rests on.
 //!
+//! Waiting: an IO worker cycles all of its connections and, while any
+//! cycle makes progress, goes round again at once, so a saturated worker
+//! never waits. After a pass with no progress it blocks in `poll(2)` on
+//! each connection's socket — for reading only when the next cycle would
+//! read, for writing only while a response is unsent (`Conn::interest`)
+//! — and on the read half of its own wake socket, until the earliest idle
+//! deadline (indefinitely without connections). The accept thread blocks
+//! in `poll(2)` on the listener and its own wake socket, and writes one
+//! byte to a worker's wake socket after handing that worker a stream.
+//!
 //! Shutdown: SIGTERM (when [`ServerConfig::handle_sigterm`] is set), a
 //! client shutdown control frame, or [`ServerHandle::shutdown`] all flip
-//! one drain flag. The accept loop closes, every connection stops
+//! one drain flag and wake every IO worker and the accept thread
+//! (`Control::drain`). A signal handler can take no lock, so SIGTERM
+//! writes one byte to a process-wide self-pipe that every SIGTERM-handling
+//! accept thread polls. The accept loop closes, every connection stops
 //! reading, serves what it already buffered, flushes, closes — then the
 //! IO loops exit and [`ServerHandle::wait`] returns the run's stats.
+//!
+//! Unix only: the waits are `poll(2)` on raw fds.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::os::raw::{c_int, c_short, c_void};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mbp_core::market::concurrent::SharedBroker;
@@ -77,6 +95,107 @@ struct Control {
     draining: AtomicBool,
     accepted: AtomicU64,
     live_conns: AtomicU64,
+    /// One per IO worker, indexed like the pool's IO loops.
+    inboxes: Vec<Inbox>,
+    accept_wake: Waker,
+}
+
+/// Freshly accepted sockets for one IO worker, and the wake socket that
+/// tells it to look.
+struct Inbox {
+    streams: Mutex<Vec<TcpStream>>,
+    wake: Waker,
+}
+
+impl Control {
+    /// Sets the drain flag and wakes every IO worker and the accept
+    /// thread, so none of them sleeps through the drain. Every drain path
+    /// goes through here; waking a thread twice is harmless.
+    fn drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        for inbox in &self.inboxes {
+            inbox.wake.wake();
+        }
+        self.accept_wake.wake();
+    }
+
+    fn is_draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+}
+
+/// The write half of a wake socket: one byte makes its owner's `poll`
+/// return.
+struct Waker(UnixStream);
+
+impl Waker {
+    fn wake(&self) {
+        // WouldBlock means the socket is full of wake-ups already pending.
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+/// A non-blocking wake socket: the read half its owner polls, and the
+/// [`Waker`] other threads write to.
+fn wake_pair() -> std::io::Result<(UnixStream, Waker)> {
+    let (rx, tx) = UnixStream::pair()?;
+    rx.set_nonblocking(true)?;
+    tx.set_nonblocking(true)?;
+    Ok((rx, Waker(tx)))
+}
+
+/// Empties a wake socket's read half so the next `poll` blocks again.
+fn clear_wakes(rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!((&*rx).read(&mut buf), Ok(n) if n > 0) {}
+}
+
+/// One `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+impl PollFd {
+    /// `poll(2)` skips a negative fd, so `-1` holds a slot with no wait.
+    fn new(fd: RawFd, events: c_short) -> PollFd {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Blocks in `poll(2)` until one of `fds` is ready or `timeout` has
+/// passed (`None` waits until woken). A wait cut short by a signal or an
+/// error just returns: every caller re-checks its state and waits again.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        // libc::poll, which std already links; declared here to keep the
+        // crate dependency-free.
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+    let timeout_ms = match timeout {
+        // Round up: waking before the deadline would only wait again.
+        Some(t) => c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX),
+        None => -1,
+    };
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` pollfd
+    // structs and `nfds` is its length, so the kernel reads and writes
+    // only inside it, and only for the duration of the call.
+    unsafe {
+        poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms);
+    }
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::wait`])
@@ -104,7 +223,7 @@ impl ServerHandle {
     /// Flips the drain flag: stop accepting, serve buffered requests,
     /// flush, close. Returns immediately; pair with [`ServerHandle::wait`].
     pub fn shutdown(&self) {
-        self.control.draining.store(true, Ordering::Relaxed);
+        self.control.drain();
     }
 
     /// Blocks until the drain completes and every thread has exited,
@@ -126,7 +245,7 @@ impl ServerHandle {
     /// `true` once the drain flag is set (by SIGTERM, a control frame, or
     /// [`ServerHandle::shutdown`]).
     pub fn is_draining(&self) -> bool {
-        self.control.draining.load(Ordering::Relaxed)
+        self.control.is_draining()
     }
 
     fn join_all(&mut self) {
@@ -144,7 +263,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.control.draining.store(true, Ordering::Relaxed);
+        self.control.drain();
         self.join_all();
     }
 }
@@ -153,43 +272,83 @@ impl Drop for ServerHandle {
 /// are process-global anyway).
 static SIGTERM_SEEN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
-fn install_sigterm_handler() {
-    use std::os::raw::{c_int, c_void};
+/// The SIGTERM self-pipe: (read half, write half). It is never closed, so
+/// the handler can never write into a recycled fd, and never read, so
+/// once signalled it stays readable for every SIGTERM-handling accept
+/// thread in the process, present or future.
+static SIGTERM_PIPE: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+
+/// The self-pipe's write half, as the handler reads it.
+static SIGTERM_WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+/// Installs the SIGTERM handler and returns the self-pipe's read half,
+/// for the accept thread to poll.
+fn install_sigterm_handler() -> std::io::Result<RawFd> {
     const SIGTERM: c_int = 15;
-    extern "C" fn on_sigterm(_sig: c_int) {
-        SIGTERM_SEEN.store(true, Ordering::Relaxed);
-    }
     extern "C" {
-        // libc::signal, which std already links; declared here to keep the
-        // crate dependency-free.
+        // libc::signal and libc::write, which std already links; declared
+        // here to keep the crate dependency-free.
         fn signal(signum: c_int, handler: *const c_void) -> *const c_void;
+        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
-    // SAFETY: `on_sigterm` is async-signal-safe (one relaxed atomic store,
+    extern "C" fn on_sigterm(_sig: c_int) {
+        if SIGTERM_SEEN.swap(true, Ordering::SeqCst) {
+            return; // the pipe is readable already
+        }
+        let byte = 1u8;
+        // SAFETY: write(2) is async-signal-safe; the fd is the self-pipe's
+        // write half, stored before the handler was installed and never
+        // closed; `byte` outlives the call. Only the first SIGTERM writes,
+        // so the one byte always fits and errno is left untouched.
+        unsafe {
+            write(
+                SIGTERM_WAKE_FD.load(Ordering::SeqCst),
+                (&byte as *const u8).cast(),
+                1,
+            );
+        }
+    }
+    let pipe = match SIGTERM_PIPE.get() {
+        Some(pipe) => pipe,
+        None => {
+            let (rx, tx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            SIGTERM_PIPE.get_or_init(|| (rx, tx))
+        }
+    };
+    SIGTERM_WAKE_FD.store(pipe.1.as_raw_fd(), Ordering::SeqCst);
+    // SAFETY: `on_sigterm` is async-signal-safe (atomics and one write(2),
     // no allocation, no locks), and `signal` only swaps the process's
     // SIGTERM disposition to it.
     unsafe {
         signal(SIGTERM, on_sigterm as *const c_void);
     }
+    Ok(pipe.0.as_raw_fd())
 }
-
-#[cfg(not(unix))]
-fn install_sigterm_handler() {}
 
 /// Starts the daemon over `broker` and returns its handle.
 pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    if cfg.handle_sigterm {
-        install_sigterm_handler();
-    }
+    let metrics_listener = match &cfg.metrics_addr {
+        Some(maddr) => {
+            let mlistener = TcpListener::bind(maddr)?;
+            mlistener.set_nonblocking(true)?;
+            Some(mlistener)
+        }
+        None => None,
+    };
+    let metrics_addr = match &metrics_listener {
+        Some(l) => Some(l.local_addr()?),
+        None => None,
+    };
+    let sigterm_rx = if cfg.handle_sigterm {
+        Some(install_sigterm_handler()?)
+    } else {
+        None
+    };
 
-    let control = Arc::new(Control {
-        draining: AtomicBool::new(false),
-        accepted: AtomicU64::new(0),
-        live_conns: AtomicU64::new(0),
-    });
     let conn_cfg = ConnConfig {
         queue_limit: cfg.queue_limit.max(1),
         read_buf_limit: 256 * 1024,
@@ -202,63 +361,77 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
     }
     .max(1);
 
-    // One inbox of freshly accepted sockets per IO worker.
-    let inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..io_threads)
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
-        .collect();
+    let mut inboxes = Vec::with_capacity(io_threads);
+    let mut worker_wakes = Vec::with_capacity(io_threads);
+    for _ in 0..io_threads {
+        let (rx, wake) = wake_pair()?;
+        inboxes.push(Inbox {
+            streams: Mutex::new(Vec::new()),
+            wake,
+        });
+        worker_wakes.push(rx);
+    }
+    let (accept_rx, accept_wake) = wake_pair()?;
+    let control = Arc::new(Control {
+        draining: AtomicBool::new(false),
+        accepted: AtomicU64::new(0),
+        live_conns: AtomicU64::new(0),
+        inboxes,
+        accept_wake,
+    });
 
     let pool = mbp_par::ThreadPool::new(io_threads);
-    for inbox in &inboxes {
-        let inbox = Arc::clone(inbox);
+    for (index, wake_rx) in worker_wakes.into_iter().enumerate() {
         let broker = broker.clone();
         let control = Arc::clone(&control);
         let conn_cfg = conn_cfg.clone();
         let idle_timeout = cfg.idle_timeout;
-        pool.run(move || io_loop(&inbox, &broker, &control, &conn_cfg, idle_timeout));
+        pool.run(move || io_loop(index, &wake_rx, &broker, &control, &conn_cfg, idle_timeout));
     }
-
-    let accept_control = Arc::clone(&control);
-    let handle_sigterm = cfg.handle_sigterm;
-    let accept_thread = std::thread::Builder::new()
-        .name("mbp-serve-accept".to_string())
-        .spawn(move || accept_loop(listener, &inboxes, &accept_control, handle_sigterm))?;
-
-    let (metrics_addr, metrics_thread) = match &cfg.metrics_addr {
-        Some(maddr) => {
-            let mlistener = TcpListener::bind(maddr)?;
-            mlistener.set_nonblocking(true)?;
-            let bound = mlistener.local_addr()?;
-            let mcontrol = Arc::clone(&control);
-            let t = std::thread::Builder::new()
-                .name("mbp-serve-metrics".to_string())
-                .spawn(move || metrics_loop(mlistener, &mcontrol))?;
-            (Some(bound), Some(t))
-        }
-        None => (None, None),
-    };
-
-    Ok(ServerHandle {
+    // From here an early return drops the handle, which drains and joins
+    // the IO loops already running.
+    let mut handle = ServerHandle {
         addr,
         metrics_addr,
-        control,
-        accept_thread: Some(accept_thread),
-        metrics_thread,
+        control: Arc::clone(&control),
+        accept_thread: None,
+        metrics_thread: None,
         pool: Some(pool),
-    })
+    };
+
+    let accept_control = Arc::clone(&control);
+    handle.accept_thread = Some(
+        std::thread::Builder::new()
+            .name("mbp-serve-accept".to_string())
+            .spawn(move || accept_loop(&listener, &accept_control, &accept_rx, sigterm_rx))?,
+    );
+    if let Some(mlistener) = metrics_listener {
+        handle.metrics_thread = Some(
+            std::thread::Builder::new()
+                .name("mbp-serve-metrics".to_string())
+                .spawn(move || metrics_loop(mlistener, &control))?,
+        );
+    }
+    Ok(handle)
 }
 
+/// Back-off after a failed `accept` other than WouldBlock (say EMFILE,
+/// which can leave the listener readable): a wait on the wake sockets
+/// alone, so a drain still ends it at once.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
 fn accept_loop(
-    listener: TcpListener,
-    inboxes: &[Arc<Mutex<Vec<TcpStream>>>],
+    listener: &TcpListener,
     control: &Control,
-    handle_sigterm: bool,
+    wake_rx: &UnixStream,
+    sigterm_rx: Option<RawFd>,
 ) {
     let mut next = 0usize;
     loop {
-        if handle_sigterm && SIGTERM_SEEN.load(Ordering::Relaxed) {
-            control.draining.store(true, Ordering::Relaxed);
+        if sigterm_rx.is_some() && SIGTERM_SEEN.load(Ordering::SeqCst) {
+            control.drain();
         }
-        if control.draining.load(Ordering::Relaxed) {
+        if control.is_draining() {
             return; // closing the listener refuses new connections
         }
         match listener.accept() {
@@ -271,17 +444,32 @@ fn accept_loop(
                 control.live_conns.fetch_add(1, Ordering::Relaxed);
                 mbp_obs::inc("mbp.serve.accepted");
                 mbp_obs::gauge_add("mbp.serve.connections", 1.0);
-                if let Some(inbox) = inboxes.get(next % inboxes.len()) {
-                    if let Ok(mut q) = inbox.lock() {
+                if let Some(inbox) = control.inboxes.get(next % control.inboxes.len()) {
+                    if let Ok(mut q) = inbox.streams.lock() {
                         q.push(stream);
                     }
+                    inbox.wake.wake();
                 }
                 next = next.wrapping_add(1);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                let would_block = e.kind() == std::io::ErrorKind::WouldBlock;
+                let mut fds = [
+                    PollFd::new(wake_rx.as_raw_fd(), POLLIN),
+                    PollFd::new(sigterm_rx.unwrap_or(-1), POLLIN),
+                    PollFd::new(
+                        if would_block {
+                            listener.as_raw_fd()
+                        } else {
+                            -1
+                        },
+                        POLLIN,
+                    ),
+                ];
+                wait_ready(&mut fds, (!would_block).then_some(ACCEPT_ERROR_BACKOFF));
+                clear_wakes(wake_rx);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }
@@ -292,16 +480,22 @@ struct Tracked {
 }
 
 fn io_loop(
-    inbox: &Mutex<Vec<TcpStream>>,
+    index: usize,
+    wake_rx: &UnixStream,
     broker: &SharedBroker,
     control: &Control,
     cfg: &ConnConfig,
     idle_timeout: Duration,
 ) {
+    let Some(inbox) = control.inboxes.get(index) else {
+        return;
+    };
     let mut conns: Vec<Tracked> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut woken = false;
     loop {
         // Adopt newly accepted sockets.
-        if let Ok(mut q) = inbox.lock() {
+        if let Ok(mut q) = inbox.streams.lock() {
             for stream in q.drain(..) {
                 conns.push(Tracked {
                     conn: Conn::new(stream),
@@ -309,42 +503,79 @@ fn io_loop(
                 });
             }
         }
-        let draining = control.draining.load(Ordering::Relaxed);
+        let draining = control.is_draining();
         if draining && conns.is_empty() {
             return;
         }
+        // A closed connection counts as progress: the next pass re-checks
+        // whether a drain has emptied the list.
         let mut any_progress = false;
         let now = Instant::now();
-        conns.retain_mut(|t| {
-            let result = t.conn.cycle(broker, cfg, &control.draining);
-            match result {
-                CycleResult::Progress => {
-                    t.last_progress = now;
-                    any_progress = true;
-                    true
-                }
-                CycleResult::Idle => {
-                    if now.duration_since(t.last_progress) > idle_timeout {
-                        mbp_obs::inc("mbp.serve.idle_closed");
-                        close_conn(control);
-                        false
-                    } else {
-                        true
-                    }
-                }
-                CycleResult::Closed => {
-                    close_conn(control);
-                    false
-                }
+        conns.retain_mut(|t| match t.conn.cycle(broker, cfg, &control.draining) {
+            CycleResult::Progress => {
+                t.last_progress = now;
+                any_progress = true;
+                true
+            }
+            CycleResult::Idle if now.duration_since(t.last_progress) <= idle_timeout => true,
+            CycleResult::Idle => {
+                mbp_obs::inc("mbp.serve.idle_closed");
+                close_conn(control);
+                any_progress = true;
+                false
+            }
+            CycleResult::Closed => {
+                close_conn(control);
+                any_progress = true;
+                false
             }
         });
-        if !any_progress {
-            if !draining && conns.is_empty() {
-                std::thread::sleep(Duration::from_millis(1));
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
-            }
+        if !draining && control.is_draining() {
+            // A Shutdown frame in this pass set the flag: wake the rest.
+            control.drain();
         }
+        if any_progress {
+            woken = false;
+            continue;
+        }
+        if woken {
+            mbp_obs::inc("mbp.serve.io.empty_wakeups");
+        }
+        wait_for_work(&mut fds, wake_rx, &conns, cfg, control, idle_timeout);
+        woken = true;
+    }
+}
+
+/// Blocks until a connection is ready for what its next cycle would do,
+/// the worker's wake socket is written, or the earliest idle deadline.
+fn wait_for_work(
+    fds: &mut Vec<PollFd>,
+    wake_rx: &UnixStream,
+    conns: &[Tracked],
+    cfg: &ConnConfig,
+    control: &Control,
+    idle_timeout: Duration,
+) {
+    let draining = control.is_draining();
+    let mut deadline: Option<Instant> = None;
+    fds.clear();
+    fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+    for t in conns {
+        let interest = t.conn.interest(cfg, draining);
+        let events =
+            if interest.read { POLLIN } else { 0 } | if interest.write { POLLOUT } else { 0 };
+        fds.push(PollFd::new(t.conn.stream().as_raw_fd(), events));
+        if let Some(d) = t.last_progress.checked_add(idle_timeout) {
+            deadline = Some(deadline.map_or(d, |e| e.min(d)));
+        }
+    }
+    mbp_obs::inc("mbp.serve.io.waits");
+    wait_ready(
+        fds,
+        deadline.map(|d| d.saturating_duration_since(Instant::now())),
+    );
+    if fds.first().is_some_and(|w| w.revents != 0) {
+        clear_wakes(wake_rx);
     }
 }
 

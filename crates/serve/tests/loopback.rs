@@ -452,6 +452,58 @@ fn shutdown_control_frame_drains_the_server() {
     assert!(stats.connections >= 1);
 }
 
+/// Runs `f` on a thread and fails the test unless it returns within
+/// `limit` — a missed wake-up must fail, not hang the suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|e| panic!("not done within {limit:?}: {e}"))
+}
+
+/// Two handshaken connections on a two-worker server. Assignment is
+/// round-robin in accept order, so each worker holds one.
+fn one_idle_connection_per_worker() -> (mbp_serve::ServerHandle, Client, Client) {
+    let shared = SharedBroker::new(listed_broker(3));
+    let cfg = ServerConfig {
+        io_threads: 2,
+        ..ServerConfig::default()
+    };
+    let handle = mbp_serve::start(shared, cfg).expect("server starts");
+    let mut a = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(a.hello(61).expect("hello"), Response::HelloOk);
+    let mut b = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(b.hello(62).expect("hello"), Response::HelloOk);
+    (handle, a, b)
+}
+
+#[test]
+fn shutdown_wakes_io_workers_blocked_on_idle_connections() {
+    // Default 30 s idle timeout: only the drain's wake-up ends these waits.
+    let (handle, a, b) = one_idle_connection_per_worker();
+    handle.shutdown();
+    let stats = within(Duration::from_secs(2), move || handle.wait());
+    assert_eq!(stats.connections, 2);
+    drop((a, b));
+}
+
+#[test]
+fn shutdown_frame_closes_an_idle_connection_on_the_other_worker() {
+    let (handle, mut a, mut b) = one_idle_connection_per_worker();
+    assert_eq!(
+        a.shutdown_server().expect("shutdown"),
+        Response::ShutdownAck
+    );
+    let eof = within(Duration::from_secs(2), move || b.recv());
+    match eof {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        Ok(frame) => panic!("expected the server to hang up, got {frame:?}"),
+    }
+    within(Duration::from_secs(2), move || handle.wait());
+}
+
 #[test]
 fn idle_connections_are_closed_after_the_timeout() {
     let shared = SharedBroker::new(listed_broker(3));

@@ -744,7 +744,7 @@ pub fn explore_crash(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -925,19 +925,25 @@ mod tests {
     /// hammers the listing while the main thread re-publishes; every
     /// observed quote must be the exact table price of curve A or curve B
     /// at the probed point — a torn listing would price off mixed state.
+    /// A start barrier holds the re-publishes until the reader is quoting,
+    /// and they go on until it has quoted under both curves, so the check
+    /// never passes on an empty or one-curve sample.
     #[test]
     fn real_mid_publish_reader_never_sees_a_torn_listing() {
         let sb = SharedBroker::new(build_broker(2024));
         let [a, b] = curves();
         let (pa, pb) = (a.price_at(1.0), b.price_at(1.0));
         let stop = Arc::new(AtomicBool::new(false));
+        let saw_b = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(Barrier::new(2));
         let reader = {
             let sb = sb.clone();
-            let stop = Arc::clone(&stop);
+            let (stop, saw_b, started) =
+                (Arc::clone(&stop), Arc::clone(&saw_b), Arc::clone(&started));
             thread::spawn(move || {
                 let mut rng = seeded_rng(31);
                 let mut seen = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let r = sb
                         .buy_batch(
                             ModelKind::LinearRegression,
@@ -945,12 +951,28 @@ mod tests {
                             &mut rng,
                         )
                         .expect("listed");
-                    seen.push(r[0].as_ref().expect("valid NCP").price);
+                    let price = r[0].as_ref().expect("valid NCP").price;
+                    if price.to_bits() == pb.to_bits() {
+                        saw_b.store(true, Ordering::Relaxed);
+                    }
+                    seen.push(price);
+                    if seen.len() == 1 {
+                        started.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 seen
             })
         };
-        for i in 0..200 {
+        started.wait();
+        // At least 200 re-publishes, then on until the reader has quoted
+        // under curve B; the cap only bounds a reader starved of CPU.
+        for i in 0..1_000_000 {
+            if i >= 200 && saw_b.load(Ordering::Relaxed) {
+                break;
+            }
             let curve = if i % 2 == 0 { b.clone() } else { a.clone() };
             sb.publish(
                 ModelKind::LinearRegression,
@@ -961,7 +983,14 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         let seen = reader.join().expect("reader thread");
-        assert!(!seen.is_empty());
+        assert!(
+            seen.iter().any(|p| p.to_bits() == pa.to_bits()),
+            "no quote under curve A"
+        );
+        assert!(
+            seen.iter().any(|p| p.to_bits() == pb.to_bits()),
+            "no quote under curve B"
+        );
         for price in seen {
             assert!(
                 price.to_bits() == pa.to_bits() || price.to_bits() == pb.to_bits(),

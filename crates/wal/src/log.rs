@@ -23,7 +23,7 @@
 //! (drop the buffer mid-group-commit) and [`WalWriter::kill_at_byte`]
 //! (truncate the file at an exact byte, simulating a torn OS write) — used
 //! by the `mbp-testkit` crash-point explorer. A killed writer reports
-//! [`WalError::Dead`](crate::WalError::Dead) on every later append instead
+//! [`WalError::Dead`] on every later append instead
 //! of touching the file again.
 
 use crate::record::{append_record, recover_bytes, WalEvent, FILE_HEADER};
@@ -184,7 +184,7 @@ impl WalWriter {
     }
 
     /// `true` once a kill hook fired; appends now return
-    /// [`WalError::Dead`](crate::WalError::Dead).
+    /// [`WalError::Dead`].
     pub fn is_dead(&self) -> bool {
         self.file.is_none()
     }
