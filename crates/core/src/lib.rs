@@ -29,6 +29,8 @@
 //! * [`revenue`] — the revenue-optimization toolbox of Section 5: the
 //!   `O(n²)` dynamic program (Theorem 10), LP/QP price interpolation,
 //!   the four naive baselines, and the exact exponential solver;
+//! * [`codec`] — the magic bytes, model-kind bytes, and FNV-1a digest
+//!   shared by the `mbp-serve` wire protocol and the `mbp-wal` log;
 //! * [`market`] — the three agents (seller, broker, buyer) and their
 //!   interaction protocol (Figures 1–2), with value/demand curve families
 //!   used by the experiments.
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod arbitrage;
+pub mod codec;
 pub mod error;
 pub mod lookup;
 pub mod market;

@@ -7,6 +7,7 @@ use crate::mechanism::{GaussianMechanism, NoiseMechanism};
 use crate::pricing::{BatchScratch, PhiMemo, PricingFunction, PricingTable};
 use crate::revenue::{solve_bv_dp, BuyerPoint, RevenueSolution};
 use mbp_data::TrainTest;
+use mbp_linalg::Vector;
 use mbp_ml::train::{gradient_descent, newton_logistic, RidgeSolver, TrainConfig};
 use mbp_ml::{LinearModel, LogisticLoss, ModelKind, SmoothedHingeLoss};
 use mbp_randx::MbpRng;
@@ -164,8 +165,20 @@ pub struct Sale {
     pub expected_error: f64,
 }
 
-/// Reusable buffers for the zero-allocation batch purchase path
-/// ([`Broker::buy_batch_into`]).
+impl Sale {
+    /// An unfilled sale whose zero-dimensional model buffer (no heap
+    /// allocation) is replaced by the optimal instance on first release.
+    fn blank(kind: ModelKind) -> Sale {
+        Sale {
+            model: LinearModel::new(kind, Vector::zeros(0)),
+            price: 0.0,
+            ncp: 0.0,
+            expected_error: 0.0,
+        }
+    }
+}
+
+/// Reusable buffers for the purchase kernel ([`Broker::quote_batch_into`]).
 ///
 /// The arena owns one [`Sale`] slot per request position plus the
 /// resolve/price/binning scratch. Slots are grown (and their model
@@ -189,6 +202,16 @@ impl SaleArena {
         SaleArena::default()
     }
 
+    /// A one-shot arena for a batch of `n` requests whose slots hold blank
+    /// sales, so only the requests that succeed clone a model buffer.
+    pub(crate) fn for_batch(kind: ModelKind, n: usize) -> Self {
+        let mut arena = SaleArena::new();
+        if n <= MAX_BATCH {
+            arena.sales.resize_with(n, || Sale::blank(kind));
+        }
+        arena
+    }
+
     /// Number of requests in the most recent batch.
     pub fn len(&self) -> usize {
         self.len
@@ -210,6 +233,27 @@ impl SaleArena {
                 Ok(_) => Ok(sale),
                 Err(e) => Err(e),
             })
+    }
+
+    /// The ledger entries of the most recent batch's sales, in request
+    /// order.
+    pub(crate) fn transactions(&self, kind: ModelKind) -> impl Iterator<Item = Transaction> + '_ {
+        self.results().flatten().map(move |sale| Transaction {
+            kind,
+            ncp: sale.ncp,
+            price: sale.price,
+        })
+    }
+
+    /// Moves the most recent batch's outcomes out of the arena, in request
+    /// order.
+    pub(crate) fn into_results(self) -> Vec<Result<Sale, MarketError>> {
+        self.sales
+            .into_iter()
+            .zip(self.outcomes)
+            .take(self.len)
+            .map(|(sale, outcome)| outcome.map(|_| sale))
+            .collect()
     }
 }
 
@@ -285,16 +329,12 @@ impl PriceErrorCurve {
     }
 }
 
-/// Per-request outcomes of a batched quote: one `(Sale, Transaction)` or
-/// per-request rejection, in request order.
-pub type QuoteBatch = Vec<Result<(Sale, Transaction), MarketError>>;
-
 /// Maximum number of requests accepted by one batch call.
 ///
-/// Every batch entry point ([`Broker::quote_batch`], [`Broker::buy_batch`],
-/// [`Broker::buy_batch_into`], [`Broker::quote_batch_into`],
-/// [`Broker::price_batch`] and the `SharedBroker` wrappers) rejects empty
-/// batches and batches larger than this cap with
+/// Every batch entry point — the kernel [`Broker::quote_batch_into`], its
+/// adaptors [`Broker::buy_batch_into`] and [`Broker::buy_batch`], the
+/// price-only [`Broker::price_batch`], and the `SharedBroker` wrappers —
+/// rejects empty batches and batches larger than this cap with
 /// [`MarketError::BadRequest`] before resolving the listing. The cap bounds
 /// how much work a single caller can queue behind one shared read guard
 /// (and, through `mbp-serve`, behind one connection's dispatch turn); the
@@ -350,6 +390,31 @@ struct Listing {
     table: PricingTable,
     phi: PhiMemo,
     transform: Box<dyn ErrorTransform + Send + Sync>,
+}
+
+impl Listing {
+    /// Passes 1–2 of the batch kernel into `arena`'s buffers: resolve every
+    /// request to its NCP (consumes no RNG), recording the precision 1/δ of
+    /// each, then price all precisions at once through
+    /// [`PricingTable::price_at_batch`] (requests binned by knot segment,
+    /// each segment's constants loaded once, results scattered back into
+    /// request order).
+    fn resolve_and_price(&self, requests: &[PurchaseRequest], arena: &mut SaleArena) {
+        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
+        let pricing = PricePath::Table(&self.table);
+        arena.len = requests.len();
+        arena.outcomes.clear();
+        arena.outcomes.reserve(requests.len());
+        arena.xs.clear();
+        arena.xs.reserve(requests.len());
+        for &request in requests {
+            let r = resolve_ncp(&pricing, Some(&self.phi), self.transform.as_ref(), request);
+            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
+            arena.outcomes.push(r);
+        }
+        self.table
+            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
+    }
 }
 
 /// The broker: trains optimal instances (one-time cost), derives pricing,
@@ -457,57 +522,33 @@ impl Broker {
         Ok(())
     }
 
+    /// The published listing for `kind` and the menu entry it sells.
+    fn listed(&self, kind: ModelKind) -> Result<(&Listing, &MenuEntry), MarketError> {
+        match (self.listings.get(&kind), self.menu.get(&kind)) {
+            (Some(listing), Some(entry)) => Ok((listing, entry)),
+            _ => Err(MarketError::UnsupportedModel(kind)),
+        }
+    }
+
     /// Fulfills a purchase against the *published* listing for `kind`,
-    /// served from the compiled pricing table.
+    /// served from the compiled pricing table: [`Broker::buy_listed_into`]
+    /// on a fresh [`Sale`].
     pub fn buy_listed(
         &mut self,
         kind: ModelKind,
         request: PurchaseRequest,
         rng: &mut MbpRng,
     ) -> Result<Sale, MarketError> {
-        let _span = mbp_obs::span("mbp.core.buy");
-        let trace =
-            mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
-        let result = (|| {
-            let lookup = trace.phase(mbp_obs::Phase::Lookup);
-            let listing = self
-                .listings
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            let entry = self
-                .menu
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            drop(lookup);
-            mbp_obs::inc("mbp.core.pricing.table_hit");
-            let (sale, tx) = execute_purchase(
-                entry,
-                self.mechanism.as_ref(),
-                &PricePath::Table(&listing.table),
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                kind,
-                request,
-                rng,
-                &trace,
-            )?;
-            let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
-            drop(ledger);
-            Ok(sale)
-        })();
-        record_purchase_outcome(result.as_ref());
-        result
+        let mut sale = Sale::blank(kind);
+        self.buy_listed_into(kind, request, rng, &mut sale)?;
+        Ok(sale)
     }
 
-    /// Zero-allocation variant of [`Broker::buy_listed`]: writes the
-    /// release into `sale`, reusing its model buffer when the kind and
-    /// dimension already match. After one warm-up call (and with ledger
-    /// capacity reserved via [`Broker::reserve_ledger`]), steady-state
-    /// successful purchases perform no heap allocation.
+    /// Single-request purchase against the published listing, written into
+    /// `sale` (reusing its model buffer when the kind and dimension already
+    /// match). After one warm-up call (and with ledger capacity reserved
+    /// via [`Broker::reserve_ledger`]), steady-state successful purchases
+    /// perform no heap allocation.
     pub fn buy_listed_into(
         &mut self,
         kind: ModelKind,
@@ -520,67 +561,55 @@ impl Broker {
             mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
         let result = (|| {
             let lookup = trace.phase(mbp_obs::Phase::Lookup);
-            let listing = self
-                .listings
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            let entry = self
-                .menu
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
+            let (listing, entry) = self.listed(kind)?;
             drop(lookup);
             mbp_obs::inc("mbp.core.pricing.table_hit");
             let tx = execute_purchase_into(
                 entry,
                 self.mechanism.as_ref(),
-                &listing.table,
-                &listing.phi,
+                &PricePath::Table(&listing.table),
+                Some(&listing.phi),
                 listing.transform.as_ref(),
-                kind,
                 request,
                 rng,
                 sale,
                 &trace,
             )?;
             let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
+            record_sales(self.durability.as_ref(), &mut self.ledger, [tx]);
             drop(ledger);
             Ok(())
         })();
-        match &result {
-            Ok(()) => {
-                mbp_obs::inc("mbp.core.buy.count");
-                mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
-            }
-            Err(e) => record_purchase_failure(e),
-        }
+        record_purchase_outcome(result.as_ref().map(|()| &*sale));
         result
     }
 
-    /// Quotes a whole batch against the published listing for `kind`: the
-    /// listing, menu entry, and compiled table are resolved once and reused
-    /// across all requests. Returns one result per request, in order; the
-    /// outer error fires only when `kind` has no listing. The ledger is
-    /// untouched — pair with [`Broker::settle`] or use
-    /// [`Broker::buy_batch`].
+    /// The purchase kernel: runs a whole batch against the published
+    /// listing for `kind` into `arena`, leaving the ledger untouched.
     ///
-    /// Internally the batch runs the three-pass binned kernel: resolve all
-    /// NCPs (no RNG), price all precisions through
-    /// [`PricingTable::price_at_batch`] (requests binned by knot segment,
-    /// each segment's constants loaded once, results scattered back into
-    /// request order), then draw noise in request order. Prices are
-    /// bit-identical to a sequential [`Broker::buy_listed`] loop and the
-    /// RNG stream is consumed identically (rejected requests draw
-    /// nothing), so result digests are unchanged.
-    pub fn quote_batch(
+    /// The listing, menu entry, and compiled table are resolved once. Pass
+    /// 1 resolves every request to its NCP (no RNG); pass 2 prices all
+    /// precisions through [`PricingTable::price_at_batch`]; pass 3 draws
+    /// noise into the arena's resident [`Sale`] slots strictly in request
+    /// order (rejected requests draw nothing). Prices, noise draws, and
+    /// RNG consumption are therefore bit-identical to a sequential
+    /// [`Broker::buy_listed`] loop. Read per-request outcomes with
+    /// [`SaleArena::results`]; the outer error fires only for a bad batch
+    /// or when `kind` has no listing.
+    ///
+    /// Every other batch entry point is an adaptor over this one:
+    /// [`Broker::buy_batch_into`] settles the arena's sales into the
+    /// ledger, [`Broker::buy_batch`] moves them out, and the `SharedBroker`
+    /// wrappers run it under a shared read guard and settle into a ledger
+    /// stripe. After one warm-up batch at the steady-state size, repeat
+    /// batches perform no heap allocation.
+    pub fn quote_batch_into(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
-    ) -> Result<QuoteBatch, MarketError> {
+        arena: &mut SaleArena,
+    ) -> Result<(), MarketError> {
         check_batch(requests)?;
         let _span = mbp_obs::span("mbp.core.buy_batch");
         // The whole batch is driven by one RNG, so every per-request trace
@@ -591,116 +620,53 @@ impl Broker {
         } else {
             0
         };
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        let entry = self
-            .menu
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve every request to its NCP (consumes no RNG).
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        let mut resolved: Vec<Result<f64, MarketError>> = Vec::with_capacity(requests.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            resolved.push(r);
+        let (listing, entry) = self.listed(kind)?;
+        listing.resolve_and_price(requests, arena);
+        // Grow the Sale pool to the batch size (warm-up cost only).
+        while arena.sales.len() < requests.len() {
+            arena.sales.push(Sale {
+                model: entry.model.clone(),
+                price: 0.0,
+                ncp: 0.0,
+                expected_error: 0.0,
+            });
         }
-        drop(resolve_span);
-        // Pass 2 — binned pricing over the precision vector.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        let mut scratch = BatchScratch::default();
-        let mut prices: Vec<f64> = Vec::new();
-        listing.table.price_at_batch(&xs, &mut scratch, &mut prices);
-        drop(price_span);
-        // Pass 3 — noise and Sale assembly, strictly in request order so
-        // the RNG stream matches the sequential loop.
-        let mut out = Vec::with_capacity(requests.len());
+        // Pass 3 — noise, strictly in request order.
         let mut served = 0u64;
         let mut revenue = 0.0;
-        for (i, r) in resolved.into_iter().enumerate() {
-            match r {
-                Err(e) => out.push(Err(e)),
-                Ok(ncp) => {
-                    let trace = mbp_obs::trace_root(
-                        "mbp.core.buy",
-                        kind_label(kind),
-                        self.mechanism.name(),
-                        batch_seed,
-                    );
-                    let price = prices.get(i).copied().unwrap_or(0.0);
-                    let noise = trace.phase(mbp_obs::Phase::Noise);
-                    let weights = self.mechanism.perturb(entry.model.weights(), ncp, rng);
-                    let model = entry.model.with_weights(weights);
-                    drop(noise);
-                    served += 1;
-                    revenue += price;
-                    out.push(Ok((
-                        Sale {
-                            model,
-                            price,
-                            ncp,
-                            expected_error: listing.transform.expected_error(ncp),
-                        },
-                        Transaction { kind, ncp, price },
-                    )));
-                }
-            }
+        let slots = arena.outcomes.iter().zip(&arena.prices);
+        for ((outcome, &price), sale) in slots.zip(arena.sales.iter_mut()) {
+            let Ok(&ncp) = outcome.as_ref() else { continue };
+            let trace = mbp_obs::trace_root(
+                "mbp.core.buy",
+                kind_label(kind),
+                self.mechanism.name(),
+                batch_seed,
+            );
+            release_into(
+                entry,
+                self.mechanism.as_ref(),
+                listing.transform.as_ref(),
+                ncp,
+                price,
+                rng,
+                sale,
+                &trace,
+            );
+            served += 1;
+            revenue += price;
         }
         mbp_obs::counter_add("mbp.core.buy.count", served);
         mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
         mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
-        Ok(out)
+        Ok(())
     }
 
-    /// Batch purchase against the published listing: quotes every request
-    /// via [`Broker::quote_batch`] and settles the successful transactions
-    /// into the ledger in request order. RNG consumption matches a
-    /// sequential loop of [`Broker::buy_listed`] calls exactly.
-    pub fn buy_batch(
-        &mut self,
-        kind: ModelKind,
-        requests: &[PurchaseRequest],
-        rng: &mut MbpRng,
-    ) -> Result<Vec<Result<Sale, MarketError>>, MarketError> {
-        let results = self.quote_batch(kind, requests, rng)?;
-        self.ledger
-            .reserve(results.iter().filter(|r| r.is_ok()).count());
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                r.map(|(sale, tx)| {
-                    if let Some(sink) = &self.durability {
-                        sink.record_sale(&tx);
-                    }
-                    self.ledger.push(tx);
-                    sale
-                })
-            })
-            .collect())
-    }
-
-    /// Zero-allocation variant of [`Broker::buy_batch`]: runs the same
-    /// three-pass binned kernel but writes every release into `arena`'s
-    /// resident [`Sale`] slots (reusing their model buffers) and keeps all
-    /// resolve/price/binning scratch in the arena. Successful transactions
-    /// settle into the ledger in request order; read per-request outcomes
-    /// with [`SaleArena::results`].
-    ///
-    /// Prices, noise draws, and RNG consumption are bit-identical to
-    /// [`Broker::buy_batch`] and to a sequential [`Broker::buy_listed`]
-    /// loop. After one warm-up batch at the steady-state batch size (and
-    /// with ledger capacity reserved via [`Broker::reserve_ledger`]),
-    /// repeat batches perform no heap allocation.
+    /// Batch purchase into `arena`: the [`Broker::quote_batch_into`] kernel,
+    /// then the successful sales settle into the ledger (and the durability
+    /// sink) in request order. With ledger capacity reserved via
+    /// [`Broker::reserve_ledger`], repeat batches perform no heap
+    /// allocation.
     pub fn buy_batch_into(
         &mut self,
         kind: ModelKind,
@@ -708,205 +674,34 @@ impl Broker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        check_batch(requests)?;
-        let _span = mbp_obs::span("mbp.core.buy_batch");
-        let batch_seed = if mbp_obs::is_tracing() {
-            mbp_obs::trace::take_request_seed()
-        } else {
-            0
-        };
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        let entry = self
-            .menu
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve (no RNG), recording precision 1/δ per request.
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        arena.len = requests.len();
-        arena.outcomes.clear();
-        arena.xs.clear();
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            arena.outcomes.push(r);
-        }
-        drop(resolve_span);
-        // Pass 2 — binned pricing into the arena's price buffer.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        listing
-            .table
-            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
-        drop(price_span);
-        // Grow the Sale pool to the batch size (warm-up cost only).
-        while arena.sales.len() < requests.len() {
-            arena.sales.push(Sale {
-                model: entry.model.clone(),
-                price: 0.0,
-                ncp: 0.0,
-                expected_error: 0.0,
-            });
-        }
-        // Pass 3 — noise and settlement, strictly in request order.
-        let mut served = 0u64;
-        let mut revenue = 0.0;
-        for (i, (outcome, sale)) in arena
-            .outcomes
-            .iter()
-            .zip(arena.sales.iter_mut())
-            .enumerate()
-        {
-            let Ok(&ncp) = outcome.as_ref() else { continue };
-            let trace = mbp_obs::trace_root(
-                "mbp.core.buy",
-                kind_label(kind),
-                self.mechanism.name(),
-                batch_seed,
-            );
-            let price = arena.prices.get(i).copied().unwrap_or(0.0);
-            if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
-                sale.model = entry.model.clone();
-            }
-            let noise = trace.phase(mbp_obs::Phase::Noise);
-            self.mechanism
-                .perturb_into(entry.model.weights(), ncp, rng, sale.model.weights_mut());
-            drop(noise);
-            sale.price = price;
-            sale.ncp = ncp;
-            sale.expected_error = listing.transform.expected_error(ncp);
-            let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            let tx = Transaction { kind, ncp, price };
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
-            drop(ledger);
-            served += 1;
-            revenue += price;
-        }
-        mbp_obs::counter_add("mbp.core.buy.count", served);
-        mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
-        mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
+        self.quote_batch_into(kind, requests, rng, arena)?;
+        let _ledger = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
+        record_sales(
+            self.durability.as_ref(),
+            &mut self.ledger,
+            arena.transactions(kind),
+        );
         Ok(())
     }
 
-    /// Settlement-free variant of [`Broker::buy_batch_into`] for callers
-    /// that hold only shared access (the `SharedBroker` network path):
-    /// runs the identical three-pass binned kernel into `arena` — resolve,
-    /// binned pricing, noise in request order — but leaves the ledger
-    /// untouched, so the caller settles the arena's successful sales
-    /// itself (e.g. under a single stripe lock).
-    ///
-    /// Prices, noise draws, and RNG consumption are bit-identical to
-    /// [`Broker::buy_batch_into`] and to a sequential
-    /// [`Broker::buy_listed`] loop; only the ledger side effect is split
-    /// out.
-    pub fn quote_batch_into(
-        &self,
+    /// Batch purchase returning owned sales: [`Broker::buy_batch_into`] on
+    /// a fresh arena whose [`Sale`] slots are then moved out. Per-request
+    /// failures are returned inline, in request order.
+    pub fn buy_batch(
+        &mut self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
-        arena: &mut SaleArena,
-    ) -> Result<(), MarketError> {
-        check_batch(requests)?;
-        let _span = mbp_obs::span("mbp.core.buy_batch");
-        let batch_seed = if mbp_obs::is_tracing() {
-            mbp_obs::trace::take_request_seed()
-        } else {
-            0
-        };
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        let entry = self
-            .menu
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve (no RNG), recording precision 1/δ per request.
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        arena.len = requests.len();
-        arena.outcomes.clear();
-        arena.xs.clear();
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            arena.outcomes.push(r);
-        }
-        drop(resolve_span);
-        // Pass 2 — binned pricing into the arena's price buffer.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        listing
-            .table
-            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
-        drop(price_span);
-        // Grow the Sale pool to the batch size (warm-up cost only).
-        while arena.sales.len() < requests.len() {
-            arena.sales.push(Sale {
-                model: entry.model.clone(),
-                price: 0.0,
-                ncp: 0.0,
-                expected_error: 0.0,
-            });
-        }
-        // Pass 3 — noise, strictly in request order (identical RNG stream
-        // to the settling variant; the ledger push is the caller's job).
-        let mut served = 0u64;
-        let mut revenue = 0.0;
-        for (i, (outcome, sale)) in arena
-            .outcomes
-            .iter()
-            .zip(arena.sales.iter_mut())
-            .enumerate()
-        {
-            let Ok(&ncp) = outcome.as_ref() else { continue };
-            let trace = mbp_obs::trace_root(
-                "mbp.core.buy",
-                kind_label(kind),
-                self.mechanism.name(),
-                batch_seed,
-            );
-            let price = arena.prices.get(i).copied().unwrap_or(0.0);
-            if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
-                sale.model = entry.model.clone();
-            }
-            let noise = trace.phase(mbp_obs::Phase::Noise);
-            self.mechanism
-                .perturb_into(entry.model.weights(), ncp, rng, sale.model.weights_mut());
-            drop(noise);
-            sale.price = price;
-            sale.ncp = ncp;
-            sale.expected_error = listing.transform.expected_error(ncp);
-            served += 1;
-            revenue += price;
-        }
-        mbp_obs::counter_add("mbp.core.buy.count", served);
-        mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
-        mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
-        Ok(())
+    ) -> Result<Vec<Result<Sale, MarketError>>, MarketError> {
+        let mut arena = SaleArena::for_batch(kind, requests.len());
+        self.buy_batch_into(kind, requests, rng, &mut arena)?;
+        Ok(arena.into_results())
     }
 
     /// Prices a batch of requests without purchasing: the network quote
-    /// path. Resolution and binned pricing run exactly as in
-    /// [`Broker::quote_batch`] (passes 1–2 of the kernel), but no model is
-    /// released, no RNG is consumed, and the ledger is untouched — so a
-    /// quote storm cannot perturb the noise stream of interleaved buys.
+    /// path. Passes 1–2 of the [`Broker::quote_batch_into`] kernel, but no
+    /// model is released, no RNG is consumed, and the ledger is untouched —
+    /// so a quote storm cannot perturb the noise stream of interleaved buys.
     pub fn price_batch(
         &self,
         kind: ModelKind,
@@ -914,34 +709,17 @@ impl Broker {
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
         check_batch(requests)?;
         let _span = mbp_obs::span("mbp.core.price_batch");
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        let mut resolved: Vec<Result<f64, MarketError>> = Vec::with_capacity(requests.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            resolved.push(r);
-        }
-        let mut scratch = BatchScratch::default();
-        let mut prices: Vec<f64> = Vec::new();
-        listing.table.price_at_batch(&xs, &mut scratch, &mut prices);
-        Ok(resolved
+        let (listing, _) = self.listed(kind)?;
+        let mut arena = SaleArena::new();
+        listing.resolve_and_price(requests, &mut arena);
+        Ok(arena
+            .outcomes
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
+            .zip(arena.prices)
+            .map(|(r, price)| {
                 r.map(|ncp| PriceQuote {
                     ncp,
-                    price: prices.get(i).copied().unwrap_or(0.0),
+                    price,
                     expected_error: listing.transform.expected_error(ncp),
                 })
             })
@@ -1108,8 +886,10 @@ impl Broker {
         Ok(PriceErrorCurve { points })
     }
 
-    /// Fulfills a purchase (steps 3–4): resolves the request to an NCP,
-    /// charges `p̄(1/δ)`, and returns a freshly-noised instance.
+    /// Fulfills a purchase (steps 3–4) against a caller-supplied pricing
+    /// function and transform: [`Broker::quote`], then the transaction
+    /// settles into the ledger. This scan path is the reference the
+    /// compiled-table listing path is tested against.
     pub fn buy(
         &mut self,
         kind: ModelKind,
@@ -1119,15 +899,13 @@ impl Broker {
         rng: &mut MbpRng,
     ) -> Result<Sale, MarketError> {
         let (sale, tx) = self.quote(kind, request, pricing, transform, rng)?;
-        if let Some(sink) = &self.durability {
-            sink.record_sale(&tx);
-        }
-        self.ledger.push(tx);
+        record_sales(self.durability.as_ref(), &mut self.ledger, [tx]);
         Ok(sale)
     }
 
-    /// Read-only purchase execution: resolves, prices, and noises exactly
-    /// like [`Broker::buy`] but leaves the ledger untouched, returning the
+    /// Read-only purchase execution: resolves the request to an NCP,
+    /// charges `p̄(1/δ)` by scanning `pricing`, and returns a freshly-noised
+    /// instance, leaving the ledger untouched and returning the
     /// [`Transaction`] for the caller to [`Broker::settle`]. This is the
     /// building block for sharded simulation and the striped concurrent
     /// broker, where many quotes run against `&Broker` in parallel and the
@@ -1143,6 +921,7 @@ impl Broker {
         let _span = mbp_obs::span("mbp.core.buy");
         let trace =
             mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
+        let mut sale = Sale::blank(kind);
         let result = (|| {
             let lookup = trace.phase(mbp_obs::Phase::Lookup);
             let entry = self
@@ -1151,20 +930,20 @@ impl Broker {
                 .ok_or(MarketError::UnsupportedModel(kind))?;
             drop(lookup);
             mbp_obs::inc("mbp.core.pricing.table_miss");
-            execute_purchase(
+            execute_purchase_into(
                 entry,
                 self.mechanism.as_ref(),
                 &PricePath::Scan(pricing),
                 None,
                 transform,
-                kind,
                 request,
                 rng,
+                &mut sale,
                 &trace,
             )
         })();
-        record_purchase_outcome(result.as_ref().map(|(sale, _)| sale));
-        result
+        record_purchase_outcome(result.as_ref().map(|_| &sale));
+        result.map(|tx| (sale, tx))
     }
 
     /// Appends already-executed transactions to the ledger — the merge step
@@ -1185,6 +964,21 @@ impl Broker {
     }
 }
 
+/// The one origination site for sale records: forwards each transaction to
+/// the durability sink (if any), then appends it to `ledger`, in order.
+pub(crate) fn record_sales(
+    sink: Option<&Arc<dyn DurabilitySink>>,
+    ledger: &mut Vec<Transaction>,
+    txs: impl IntoIterator<Item = Transaction>,
+) {
+    for tx in txs {
+        if let Some(sink) = sink {
+            sink.record_sale(&tx);
+        }
+        ledger.push(tx);
+    }
+}
+
 /// Records the metrics for one purchase attempt: `mbp.core.buy.count` and
 /// the running `mbp.core.revenue.total` gauge on success,
 /// `mbp.core.buy.rejected` (plus an error event) on failure.
@@ -1194,18 +988,16 @@ fn record_purchase_outcome(result: Result<&Sale, &MarketError>) {
             mbp_obs::inc("mbp.core.buy.count");
             mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
         }
-        Err(e) => record_purchase_failure(e),
+        Err(e) => {
+            mbp_obs::inc("mbp.core.buy.rejected");
+            mbp_obs::event(
+                mbp_obs::Verbosity::Error,
+                "mbp.core.broker",
+                "purchase rejected",
+                &[("reason", e.to_string())],
+            );
+        }
     }
-}
-
-fn record_purchase_failure(e: &MarketError) {
-    mbp_obs::inc("mbp.core.buy.rejected");
-    mbp_obs::event(
-        mbp_obs::Verbosity::Error,
-        "mbp.core.broker",
-        "purchase rejected",
-        &[("reason", e.to_string())],
-    );
 }
 
 /// Which pricing backend a purchase is served from: the original
@@ -1290,63 +1082,49 @@ fn resolve_ncp(
     }
 }
 
-/// Shared purchase path: resolves the request to an NCP, prices it, and
-/// releases a freshly noised instance.
+/// Single-request purchase path shared by the listing and scan entry
+/// points: resolves the request to an NCP, prices it, and releases a
+/// freshly noised instance into `sale`.
 #[allow(clippy::too_many_arguments)]
-fn execute_purchase(
+fn execute_purchase_into(
     entry: &MenuEntry,
     mechanism: &dyn NoiseMechanism,
     pricing: &PricePath<'_>,
     phi: Option<&PhiMemo>,
     transform: &dyn ErrorTransform,
-    kind: ModelKind,
-    request: PurchaseRequest,
-    rng: &mut MbpRng,
-    trace: &mbp_obs::TraceRoot,
-) -> Result<(Sale, Transaction), MarketError> {
-    let ncp = {
-        let _p = trace.phase(mbp_obs::Phase::PhiInversion);
-        resolve_ncp(pricing, phi, transform, request)?
-    };
-    let price = pricing.price_for_ncp(ncp);
-    let noise = trace.phase(mbp_obs::Phase::Noise);
-    let weights = mechanism.perturb(entry.model.weights(), ncp, rng);
-    let model = entry.model.with_weights(weights);
-    drop(noise);
-    Ok((
-        Sale {
-            model,
-            price,
-            ncp,
-            expected_error: transform.expected_error(ncp),
-        },
-        Transaction { kind, ncp, price },
-    ))
-}
-
-/// Allocation-free purchase path: identical resolution, pricing, and RNG
-/// consumption to [`execute_purchase`], but the release is written into
-/// `sale`'s existing model buffer.
-#[allow(clippy::too_many_arguments)]
-fn execute_purchase_into(
-    entry: &MenuEntry,
-    mechanism: &dyn NoiseMechanism,
-    table: &PricingTable,
-    phi: &PhiMemo,
-    transform: &dyn ErrorTransform,
-    kind: ModelKind,
     request: PurchaseRequest,
     rng: &mut MbpRng,
     sale: &mut Sale,
     trace: &mbp_obs::TraceRoot,
 ) -> Result<Transaction, MarketError> {
-    let pricing = PricePath::Table(table);
     let ncp = {
         let _p = trace.phase(mbp_obs::Phase::PhiInversion);
-        resolve_ncp(&pricing, Some(phi), transform, request)?
+        resolve_ncp(pricing, phi, transform, request)?
     };
     let price = pricing.price_for_ncp(ncp);
-    if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
+    release_into(entry, mechanism, transform, ncp, price, rng, sale, trace);
+    Ok(Transaction {
+        kind: entry.model.kind(),
+        ncp,
+        price,
+    })
+}
+
+/// The noise step of every purchase: writes `h*` plus fresh noise at `ncp`
+/// into `sale`'s model buffer (cloning the optimal instance only when the
+/// slot holds a different kind or dimension) and stamps the sale.
+#[allow(clippy::too_many_arguments)]
+fn release_into(
+    entry: &MenuEntry,
+    mechanism: &dyn NoiseMechanism,
+    transform: &dyn ErrorTransform,
+    ncp: f64,
+    price: f64,
+    rng: &mut MbpRng,
+    sale: &mut Sale,
+    trace: &mbp_obs::TraceRoot,
+) {
+    if sale.model.kind() != entry.model.kind() || sale.model.dim() != entry.model.dim() {
         sale.model = entry.model.clone();
     }
     let noise = trace.phase(mbp_obs::Phase::Noise);
@@ -1355,13 +1133,13 @@ fn execute_purchase_into(
     sale.price = price;
     sale.ncp = ncp;
     sale.expected_error = transform.expected_error(ncp);
-    Ok(Transaction { kind, ncp, price })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::{LinRegSquareTransform, SquareLossTransform};
+    use crate::market::concurrent::SharedBroker;
     use crate::market::curves::{grid, DemandShape, ValueShape};
     use mbp_data::synth;
     use mbp_randx::seeded_rng;
@@ -1624,179 +1402,213 @@ mod tests {
         }
     }
 
-    /// `buy_listed_into` reuses the caller's buffers and matches
-    /// `buy_listed` bit-for-bit on the same stream; the affine φ memo is
-    /// exercised through a real regression transform.
-    #[test]
-    fn buy_listed_into_matches_buy_listed() {
-        let mut a = Broker::new(market_data(32));
-        let mut b = Broker::new(market_data(32));
-        for broker in [&mut a, &mut b] {
-            let h = broker
-                .support(ModelKind::LinearRegression, 0.0)
-                .unwrap()
-                .weights()
-                .clone();
-            let transform = LinRegSquareTransform::new(&broker.data().test.clone(), &h);
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(transform),
-                )
-                .unwrap();
+    /// Records the sale sequence a broker forwards to its durability sink.
+    #[derive(Default)]
+    struct SaleLog(std::sync::Mutex<Vec<Transaction>>);
+
+    impl SaleLog {
+        fn sales(&self) -> Vec<Transaction> {
+            self.0.lock().unwrap().clone()
         }
-        let base = a
-            .optimal_model(ModelKind::LinearRegression)
+    }
+
+    impl DurabilitySink for SaleLog {
+        fn record_sale(&self, tx: &Transaction) {
+            self.0.lock().unwrap().push(tx.clone());
+        }
+        fn record_support(&self, _: ModelKind, _: f64) {}
+        fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
+        fn record_epoch(&self, _: u64) {}
+        fn record_rng_cursor(&self, _: u64, _: u64) {}
+    }
+
+    /// The scan reference and every table-served purchase entry point.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Scan,
+        BuyListed,
+        BuyListedInto,
+        BuyBatch,
+        BuyBatchInto,
+        QuoteBatchIntoSettled,
+        SharedBuyBatchInto,
+    }
+
+    /// One request's release as raw bits `(ncp, price, weights)`, or
+    /// `None` for a rejection.
+    type Release = Option<(u64, u64, Vec<u64>)>;
+
+    fn release(sale: Result<&Sale, &MarketError>) -> Release {
+        let sale = sale.ok()?;
+        let weights = sale.model.weights().as_slice().iter().map(|w| w.to_bits());
+        Some((sale.ncp.to_bits(), sale.price.to_bits(), weights.collect()))
+    }
+
+    /// A linear-regression listing under the analytic regression transform
+    /// (so the affine φ memo is exercised), plus that transform.
+    fn regression_listing() -> (Broker, LinRegSquareTransform) {
+        let mut broker = Broker::new(market_data(32));
+        let h = broker
+            .support(ModelKind::LinearRegression, 0.0)
             .unwrap()
+            .weights()
             .clone();
-        let floor = LinRegSquareTransform::new(&a.data().test.clone(), base.weights()).base();
-        let requests = [
-            PurchaseRequest::AtNcp(1.0),
-            PurchaseRequest::ErrorBudget(floor + 0.7),
-            PurchaseRequest::PriceBudget(25.0),
-        ];
-        let mut rng_a = seeded_rng(33);
-        let mut rng_b = seeded_rng(33);
-        let mut sale = Sale {
-            model: base,
-            price: 0.0,
-            ncp: 0.0,
-            expected_error: 0.0,
-        };
-        b.reserve_ledger(requests.len());
-        for &request in &requests {
-            let fresh = a
-                .buy_listed(ModelKind::LinearRegression, request, &mut rng_a)
-                .unwrap();
-            b.buy_listed_into(ModelKind::LinearRegression, request, &mut rng_b, &mut sale)
-                .unwrap();
-            assert_eq!(fresh.price, sale.price, "{request:?}");
-            assert_eq!(fresh.ncp, sale.ncp, "{request:?}");
-            assert_eq!(fresh.expected_error, sale.expected_error, "{request:?}");
-            assert_eq!(fresh.model.weights(), sale.model.weights(), "{request:?}");
-        }
-        assert_eq!(a.ledger().len(), b.ledger().len());
-        assert_eq!(a.total_revenue(), b.total_revenue());
-    }
-
-    /// Batch quoting consumes the RNG exactly like a sequential loop, keeps
-    /// per-request errors inline, and settles in request order.
-    #[test]
-    fn buy_batch_matches_sequential_buy_listed() {
-        let mut seq = Broker::new(market_data(34));
-        let mut bat = Broker::new(market_data(34));
-        for broker in [&mut seq, &mut bat] {
-            broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(SquareLossTransform),
-                )
-                .unwrap();
-        }
-        let requests = [
-            PurchaseRequest::AtNcp(0.5),
-            PurchaseRequest::PriceBudget(5.0), // below p̄(x₁)·small ⇒ still ray-affordable
-            PurchaseRequest::AtNcp(-1.0),      // rejected inline
-            PurchaseRequest::ErrorBudget(1.5),
-            PurchaseRequest::PriceBudget(0.0), // rejected: buys zero precision
-        ];
-        let mut rng_seq = seeded_rng(35);
-        let mut rng_bat = seeded_rng(35);
-        let sequential: Vec<Result<Sale, MarketError>> = requests
-            .iter()
-            .map(|&r| seq.buy_listed(ModelKind::LinearRegression, r, &mut rng_seq))
-            .collect();
-        let batched = bat
-            .buy_batch(ModelKind::LinearRegression, &requests, &mut rng_bat)
+        let transform = LinRegSquareTransform::new(&broker.data().test.clone(), &h);
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                simple_pricing(),
+                Box::new(transform.clone()),
+            )
             .unwrap();
-        assert_eq!(sequential.len(), batched.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            match (s, b) {
-                (Ok(s), Ok(b)) => {
-                    assert_eq!(s.price, b.price, "request {i}");
-                    assert_eq!(s.ncp, b.ncp, "request {i}");
-                    assert_eq!(s.model.weights(), b.model.weights(), "request {i}");
-                }
-                (Err(_), Err(_)) => {}
-                _ => panic!("request {i}: outcome mismatch"),
-            }
-        }
-        assert_eq!(seq.ledger().len(), bat.ledger().len());
-        assert_eq!(seq.total_revenue(), bat.total_revenue());
-        // Unknown kinds fail at the batch level, not per request.
-        assert!(matches!(
-            bat.buy_batch(ModelKind::LinearSvm, &requests, &mut rng_bat),
-            Err(MarketError::UnsupportedModel(_))
-        ));
+        (broker, transform)
     }
 
-    /// The arena path replays `buy_batch` bit-for-bit: same prices, NCPs,
-    /// and noise draws, same ledger — including on a second, smaller batch
-    /// that reuses warmed slots.
+    /// Runs `batches` (one stream, in order) through `entry` with a
+    /// recording sink attached; returns the per-request releases, the
+    /// reconciled ledger, and the sink's sale sequence.
+    fn run_entry(
+        entry: Entry,
+        batches: &[&[PurchaseRequest]],
+    ) -> (Vec<Release>, Vec<Transaction>, Vec<Transaction>) {
+        let kind = ModelKind::LinearRegression;
+        let (mut broker, transform) = regression_listing();
+        let log = Arc::new(SaleLog::default());
+        let mut rng = seeded_rng(33);
+        let mut arena = SaleArena::new();
+        let mut out = Vec::new();
+        let stream = batches.iter().flat_map(|b| b.iter().copied());
+        broker.set_durability(log.clone());
+        let ledger = match entry {
+            Entry::Scan => {
+                let pricing = simple_pricing();
+                for r in stream {
+                    let sale = broker.buy(kind, r, &pricing, &transform, &mut rng);
+                    out.push(release(sale.as_ref()));
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::BuyListed => {
+                for r in stream {
+                    out.push(release(broker.buy_listed(kind, r, &mut rng).as_ref()));
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::BuyListedInto => {
+                let mut sale = Sale::blank(kind);
+                for r in stream {
+                    let outcome = broker.buy_listed_into(kind, r, &mut rng, &mut sale);
+                    out.push(release(outcome.as_ref().map(|()| &sale)));
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::BuyBatch => {
+                for &batch in batches {
+                    let sales = broker.buy_batch(kind, batch, &mut rng).unwrap();
+                    out.extend(sales.iter().map(Result::as_ref).map(release));
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::BuyBatchInto => {
+                for &batch in batches {
+                    broker
+                        .buy_batch_into(kind, batch, &mut rng, &mut arena)
+                        .unwrap();
+                    assert_eq!(arena.len(), batch.len());
+                    out.extend(arena.results().map(release));
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::QuoteBatchIntoSettled => {
+                for &batch in batches {
+                    broker
+                        .quote_batch_into(kind, batch, &mut rng, &mut arena)
+                        .unwrap();
+                    out.extend(arena.results().map(release));
+                    for sale in arena.results().flatten() {
+                        let tx = Transaction {
+                            kind,
+                            ncp: sale.ncp,
+                            price: sale.price,
+                        };
+                        log.record_sale(&tx);
+                        broker.settle([tx]);
+                    }
+                }
+                broker.ledger().to_vec()
+            }
+            Entry::SharedBuyBatchInto => {
+                let shared = SharedBroker::with_durability(broker, log.clone());
+                for &batch in batches {
+                    shared
+                        .buy_batch_into(kind, batch, &mut rng, &mut arena)
+                        .unwrap();
+                    out.extend(arena.results().map(release));
+                }
+                shared.with_broker(|b| b.ledger().to_vec())
+            }
+        };
+        (out, ledger, log.sales())
+    }
+
+    /// One mixed request stream, rejections included, yields bit-identical
+    /// releases, an identical ledger, and an identical durable sale
+    /// sequence through every purchase entry point — each table-served
+    /// adaptor over the kernel, checked against the scan path.
     #[test]
-    fn buy_batch_into_matches_buy_batch() {
-        let mut plain = Broker::new(market_data(34));
-        let mut arena_b = Broker::new(market_data(34));
-        for broker in [&mut plain, &mut arena_b] {
-            broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(SquareLossTransform),
-                )
-                .unwrap();
-        }
+    fn every_purchase_entry_point_matches_the_scan_reference() {
+        let (broker, _) = regression_listing();
+        let base = broker.optimal_model(ModelKind::LinearRegression).unwrap();
+        let floor = LinRegSquareTransform::new(&broker.data().test.clone(), base.weights()).base();
         let batches: [&[PurchaseRequest]; 2] = [
             &[
                 PurchaseRequest::AtNcp(0.5),
-                PurchaseRequest::PriceBudget(5.0),
-                PurchaseRequest::AtNcp(-1.0), // rejected inline
-                PurchaseRequest::ErrorBudget(1.5),
-                PurchaseRequest::PriceBudget(0.0), // rejected
+                PurchaseRequest::PriceBudget(5.0), // below p̄(x₁): on the ray
+                PurchaseRequest::AtNcp(-1.0),      // rejected
+                PurchaseRequest::ErrorBudget(floor + 0.7),
+                PurchaseRequest::PriceBudget(0.0), // rejected: zero precision
+                PurchaseRequest::ErrorBudget(floor * 0.5), // rejected: below floor
+                PurchaseRequest::PriceBudget(1e6), // saturates at the grid top
             ],
-            // Smaller follow-up batch: exercises warmed Sale slots.
-            &[PurchaseRequest::AtNcp(0.25), PurchaseRequest::AtNcp(2.0)],
+            // Smaller follow-up batch: exercises warmed arena slots.
+            &[
+                PurchaseRequest::AtNcp(0.05),
+                PurchaseRequest::ErrorBudget(floor + 3.0),
+                PurchaseRequest::AtNcp(f64::NAN), // rejected
+                PurchaseRequest::PriceBudget(25.0),
+            ],
         ];
-        let mut rng_plain = seeded_rng(35);
-        let mut rng_arena = seeded_rng(35);
-        let mut arena = SaleArena::new();
-        for requests in batches {
-            let expected = plain
-                .buy_batch(ModelKind::LinearRegression, requests, &mut rng_plain)
-                .unwrap();
-            arena_b
-                .buy_batch_into(
-                    ModelKind::LinearRegression,
-                    requests,
-                    &mut rng_arena,
-                    &mut arena,
-                )
-                .unwrap();
-            assert_eq!(arena.len(), requests.len());
-            let got: Vec<_> = arena.results().collect();
-            assert_eq!(expected.len(), got.len());
-            for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
-                match (e, g) {
-                    (Ok(e), Ok(g)) => {
-                        assert_eq!(e.price.to_bits(), g.price.to_bits(), "request {i}");
-                        assert_eq!(e.ncp.to_bits(), g.ncp.to_bits(), "request {i}");
-                        assert_eq!(e.model.weights(), g.model.weights(), "request {i}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("request {i}: outcome mismatch"),
-                }
-            }
+        let (reference, ledger, log) = run_entry(Entry::Scan, &batches);
+        assert_eq!(reference.iter().filter(|r| r.is_none()).count(), 4);
+        assert_eq!(ledger.len(), 7);
+        assert_eq!(log, ledger);
+        for entry in [
+            Entry::BuyListed,
+            Entry::BuyListedInto,
+            Entry::BuyBatch,
+            Entry::BuyBatchInto,
+            Entry::QuoteBatchIntoSettled,
+            Entry::SharedBuyBatchInto,
+        ] {
+            let (releases, entry_ledger, entry_log) = run_entry(entry, &batches);
+            assert_eq!(releases, reference, "{entry:?}: releases");
+            assert_eq!(entry_ledger, ledger, "{entry:?}: ledger");
+            assert_eq!(entry_log, log, "{entry:?}: durable sales");
         }
-        assert_eq!(plain.ledger().len(), arena_b.ledger().len());
-        assert_eq!(plain.total_revenue(), arena_b.total_revenue());
+        // Unknown kinds fail at the batch level, not per request.
+        let (mut broker, _) = regression_listing();
+        let mut rng = seeded_rng(34);
+        let mut arena = SaleArena::new();
+        let svm = ModelKind::LinearSvm;
         assert!(matches!(
-            arena_b.buy_batch_into(ModelKind::LinearSvm, batches[0], &mut rng_arena, &mut arena),
+            broker.buy_batch(svm, batches[0], &mut rng),
             Err(MarketError::UnsupportedModel(_))
         ));
+        assert!(matches!(
+            broker.buy_batch_into(svm, batches[0], &mut rng, &mut arena),
+            Err(MarketError::UnsupportedModel(_))
+        ));
+        assert!(broker.ledger().is_empty());
     }
 
     /// The sorted-bin kernel must scatter results back into request order:

@@ -20,13 +20,14 @@
 
 use crate::error::ErrorTransform;
 use crate::market::agents::{
-    kind_label, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena, Transaction,
+    kind_label, record_sales, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena,
+    Transaction,
 };
 use crate::market::durability::DurabilitySink;
 use crate::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::MbpRng;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -65,15 +66,7 @@ impl SharedBroker {
     /// Wraps a broker (train the menu with [`Broker::support`] first, or
     /// through [`SharedBroker::support`]).
     pub fn new(broker: Broker) -> Self {
-        SharedBroker {
-            inner: Arc::new(SharedState {
-                core: RwLock::new(broker),
-                stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
-                next_stripe: AtomicUsize::new(0),
-                contention: AtomicU64::new(0),
-                durability: None,
-            }),
-        }
+        SharedBroker::wrap(broker, None)
     }
 
     /// Wraps a broker with a durability sink attached: the striped buy
@@ -85,13 +78,17 @@ impl SharedBroker {
     /// `broker`, so the replay is not re-recorded.
     pub fn with_durability(mut broker: Broker, sink: Arc<dyn DurabilitySink>) -> Self {
         broker.set_durability(Arc::clone(&sink));
+        SharedBroker::wrap(broker, Some(sink))
+    }
+
+    fn wrap(broker: Broker, durability: Option<Arc<dyn DurabilitySink>>) -> Self {
         SharedBroker {
             inner: Arc::new(SharedState {
                 core: RwLock::new(broker),
                 stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
                 next_stripe: AtomicUsize::new(0),
                 contention: AtomicU64::new(0),
-                durability: Some(sink),
+                durability,
             }),
         }
     }
@@ -99,6 +96,21 @@ impl SharedBroker {
     fn note_contention(&self) {
         self.inner.contention.fetch_add(1, Ordering::Relaxed);
         mbp_obs::inc("mbp.core.sharedbroker.contention");
+    }
+
+    /// Takes the shared read guard on the core broker, counting a contended
+    /// acquisition (maintenance holding the write lock) when the
+    /// uncontended `try_read` fails and attributing the blocking wait to
+    /// the `lock_wait` trace phase under `kind`'s listing label.
+    fn read_core(&self, kind: ModelKind) -> RwLockReadGuard<'_, Broker> {
+        match self.inner.core.try_read() {
+            Some(g) => g,
+            None => {
+                self.note_contention();
+                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
+                self.inner.core.read()
+            }
+        }
     }
 
     /// Picks the next ledger stripe round-robin and locks it, counting a
@@ -122,6 +134,15 @@ impl SharedBroker {
         }
     }
 
+    /// Settles `txs` under a *single* acquisition of the next ledger
+    /// stripe, forwarding each to the durability sink while the stripe is
+    /// held.
+    fn settle_in_stripe(&self, kind: ModelKind, txs: impl IntoIterator<Item = Transaction>) {
+        let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
+        let mut guard = self.lock_next_stripe(kind_label(kind));
+        record_sales(self.inner.durability.as_ref(), &mut guard, txs);
+    }
+
     /// Adds a model to the menu (delegates to [`Broker::support`]).
     pub fn support(&self, kind: ModelKind, ridge: f64) -> Result<(), MarketError> {
         self.inner.core.write().support(kind, ridge).map(|_| ())
@@ -138,54 +159,29 @@ impl SharedBroker {
         self.inner.core.write().publish(kind, pricing, transform)
     }
 
-    /// Thread-safe batch purchase against the published listing for `kind`.
-    ///
-    /// The whole batch quotes under one shared read guard (one listing
-    /// lookup, compiled-table pricing) and settles under a *single* stripe
-    /// lock acquisition, so lock traffic is amortized across the batch
-    /// instead of paid per purchase. Per-request failures are returned
-    /// inline; the outer error fires only when `kind` has no listing.
+    /// Thread-safe batch purchase returning owned sales: an adaptor over
+    /// [`SharedBroker::buy_batch_into`] on a fresh arena whose sales are
+    /// moved out. Per-request failures are returned inline.
     pub fn buy_batch(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Result<Vec<Result<Sale, MarketError>>, MarketError> {
-        let results = {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote_batch(kind, requests, rng)?
-        };
-        let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
-        let mut guard = self.lock_next_stripe(kind_label(kind));
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                r.map(|(sale, tx)| {
-                    if let Some(sink) = &self.inner.durability {
-                        sink.record_sale(&tx);
-                    }
-                    guard.push(tx);
-                    sale
-                })
-            })
-            .collect())
+        let mut arena = SaleArena::for_batch(kind, requests.len());
+        self.buy_batch_into(kind, requests, rng, &mut arena)?;
+        Ok(arena.into_results())
     }
 
     /// Zero-allocation thread-safe batch purchase: the network serving
-    /// path. The three-pass kernel runs into `arena` under a shared read
-    /// guard via [`Broker::quote_batch_into`] (no ledger mutation), then
-    /// the successful sales settle under a *single* stripe-lock
-    /// acquisition. Prices, noise draws, and RNG consumption are
-    /// bit-identical to [`Broker::buy_batch_into`] on an unshared broker;
-    /// only where the transactions park differs (a stripe instead of the
-    /// core ledger), and [`SharedBroker::with_broker`] reconciles that.
+    /// path. The [`Broker::quote_batch_into`] kernel runs into `arena`
+    /// under a shared read guard (one listing lookup, no ledger mutation),
+    /// then the successful sales settle under a *single* stripe-lock
+    /// acquisition, so lock traffic is amortized across the batch. Prices,
+    /// noise draws, and RNG consumption are bit-identical to
+    /// [`Broker::buy_batch_into`] on an unshared broker; only where the
+    /// transactions park differs (a stripe instead of the core ledger), and
+    /// [`SharedBroker::with_broker`] reconciles that.
     pub fn buy_batch_into(
         &self,
         kind: ModelKind,
@@ -193,30 +189,9 @@ impl SharedBroker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote_batch_into(kind, requests, rng, arena)?;
-        }
-        let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
-        let mut guard = self.lock_next_stripe(kind_label(kind));
-        for sale in arena.results().flatten() {
-            let tx = Transaction {
-                kind,
-                ncp: sale.ncp,
-                price: sale.price,
-            };
-            if let Some(sink) = &self.inner.durability {
-                sink.record_sale(&tx);
-            }
-            guard.push(tx);
-        }
+        self.read_core(kind)
+            .quote_batch_into(kind, requests, rng, arena)?;
+        self.settle_in_stripe(kind, arena.transactions(kind));
         Ok(())
     }
 
@@ -228,20 +203,13 @@ impl SharedBroker {
         kind: ModelKind,
         requests: &[PurchaseRequest],
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
-        let core = match self.inner.core.try_read() {
-            Some(g) => g,
-            None => {
-                self.note_contention();
-                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                self.inner.core.read()
-            }
-        };
-        core.price_batch(kind, requests)
+        self.read_core(kind).price_batch(kind, requests)
     }
 
-    /// Thread-safe purchase; each calling thread supplies its own RNG.
+    /// Thread-safe scan-path purchase; each calling thread supplies its own
+    /// RNG.
     ///
-    /// The quote (training + pricing) runs under a shared read guard, so
+    /// The quote (pricing + noise) runs under a shared read guard, so
     /// concurrent buys proceed in parallel; only the final ledger push takes
     /// a stripe lock. Contention (maintenance holding the core write lock
     /// when this purchase arrives, or a racing push on the same stripe) is
@@ -254,25 +222,10 @@ impl SharedBroker {
         transform: &dyn ErrorTransform,
         rng: &mut MbpRng,
     ) -> Result<Sale, MarketError> {
-        let (sale, tx) = {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote(kind, request, pricing, transform, rng)?
-        };
-        {
-            let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
-            let mut guard = self.lock_next_stripe(kind_label(kind));
-            if let Some(sink) = &self.inner.durability {
-                sink.record_sale(&tx);
-            }
-            guard.push(tx);
-        }
+        let (sale, tx) = self
+            .read_core(kind)
+            .quote(kind, request, pricing, transform, rng)?;
+        self.settle_in_stripe(kind, [tx]);
         Ok(sale)
     }
 

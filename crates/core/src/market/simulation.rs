@@ -12,7 +12,7 @@
 use crate::error::ErrorTransform;
 use crate::market::agents::{Broker, MarketError, PurchaseRequest, Seller, Transaction};
 use crate::pricing::PricingFunction;
-use crate::revenue;
+use crate::revenue::{self, BuyerPoint};
 use mbp_ml::ModelKind;
 use mbp_randx::{seeded_rng, Categorical, Distribution, MbpRng, Normal, SeedStream};
 
@@ -64,6 +64,90 @@ impl SimulationOutcome {
     }
 }
 
+/// The buyer model shared by every simulator: the research population,
+/// its arrival distribution, and the pricing the buyers face.
+struct Season<'a> {
+    cfg: SimulationConfig,
+    pricing: &'a PricingFunction,
+    population: Vec<BuyerPoint>,
+    arrivals: Categorical,
+    jitter: Normal,
+}
+
+impl<'a> Season<'a> {
+    /// # Panics
+    /// Panics when `cfg.n_buyers == 0` or the jitter is negative.
+    fn new(seller: &Seller, pricing: &'a PricingFunction, cfg: SimulationConfig) -> Self {
+        assert!(cfg.n_buyers > 0, "need at least one buyer");
+        assert!(
+            cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
+            "jitter must be >= 0"
+        );
+        let population = seller.buyer_population();
+        let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
+        Season {
+            cfg,
+            pricing,
+            arrivals: Categorical::new(&demands),
+            population,
+            jitter: Normal::new(0.0, 1.0),
+        }
+    }
+
+    /// Draws one buyer arrival (and, with jitter, their valuation noise)
+    /// from `rng`. Returns the purchase request when the listed price is
+    /// within the buyer's valuation, `None` when they walk away.
+    fn next_buyer(&self, rng: &mut MbpRng) -> Option<PurchaseRequest> {
+        let point = &self.population[self.arrivals.sample(rng)];
+        let valuation = if self.cfg.valuation_jitter > 0.0 {
+            (point.valuation * (1.0 + self.cfg.valuation_jitter * self.jitter.sample(rng))).max(0.0)
+        } else {
+            point.valuation
+        };
+        let price = self.pricing.price_at(point.a);
+        (price <= valuation + 1e-12).then(|| PurchaseRequest::AtNcp(1.0 / point.a))
+    }
+
+    /// Reports the season (counters and a completion event carrying the
+    /// simulator-specific `extra` field) and assembles its outcome; every
+    /// buyer not `served` declined.
+    fn finish(
+        &self,
+        message: &str,
+        extra: Option<(&'static str, String)>,
+        served: usize,
+        realized: f64,
+    ) -> SimulationOutcome {
+        let n_buyers = self.cfg.n_buyers;
+        let declined = n_buyers - served;
+        mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
+        mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
+        let mut fields = vec![("buyers", n_buyers.to_string())];
+        fields.extend(extra);
+        fields.extend([
+            ("served", served.to_string()),
+            ("declined", declined.to_string()),
+            (
+                "realized_per_buyer",
+                format!("{:.6}", realized / n_buyers as f64),
+            ),
+        ]);
+        mbp_obs::event(
+            mbp_obs::Verbosity::Info,
+            "mbp.core.simulate",
+            message,
+            &fields,
+        );
+        SimulationOutcome {
+            predicted_revenue_per_buyer: revenue::revenue(self.pricing, &self.population),
+            realized_revenue_per_buyer: realized / n_buyers as f64,
+            served,
+            declined,
+            predicted_affordability: revenue::affordability(self.pricing, &self.population),
+        }
+    }
+}
+
 /// Runs a selling season for `kind` against `pricing`.
 ///
 /// The broker must already support `kind`. Buyers who can afford their
@@ -82,68 +166,18 @@ pub fn simulate_market(
     cfg: SimulationConfig,
     rng: &mut MbpRng,
 ) -> Result<SimulationOutcome, MarketError> {
-    assert!(cfg.n_buyers > 0, "need at least one buyer");
-    assert!(
-        cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
-        "jitter must be >= 0"
-    );
-    let population = seller.buyer_population();
-    let predicted_revenue_per_buyer = revenue::revenue(pricing, &population);
-    let predicted_affordability = revenue::affordability(pricing, &population);
-    let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
-    let arrivals = Categorical::new(&demands);
-    let jitter = Normal::new(0.0, 1.0);
-
+    let season = Season::new(seller, pricing, cfg);
     let _span = mbp_obs::span("mbp.core.simulate");
     let ledger_before = broker.total_revenue();
     let mut served = 0usize;
-    let mut declined = 0usize;
     for _ in 0..cfg.n_buyers {
-        let idx = arrivals.sample(rng);
-        let point = &population[idx];
-        let valuation = if cfg.valuation_jitter > 0.0 {
-            (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(rng))).max(0.0)
-        } else {
-            point.valuation
-        };
-        let price = pricing.price_at(point.a);
-        if price <= valuation + 1e-12 {
-            broker.buy(
-                kind,
-                PurchaseRequest::AtNcp(1.0 / point.a),
-                pricing,
-                transform,
-                rng,
-            )?;
+        if let Some(request) = season.next_buyer(rng) {
+            broker.buy(kind, request, pricing, transform, rng)?;
             served += 1;
-        } else {
-            declined += 1;
         }
     }
     let realized = broker.total_revenue() - ledger_before;
-    mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
-    mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Info,
-        "mbp.core.simulate",
-        "season complete",
-        &[
-            ("buyers", cfg.n_buyers.to_string()),
-            ("served", served.to_string()),
-            ("declined", declined.to_string()),
-            (
-                "realized_per_buyer",
-                format!("{:.6}", realized / cfg.n_buyers as f64),
-            ),
-        ],
-    );
-    Ok(SimulationOutcome {
-        predicted_revenue_per_buyer,
-        realized_revenue_per_buyer: realized / cfg.n_buyers as f64,
-        served,
-        declined,
-        predicted_affordability,
-    })
+    Ok(season.finish("season complete", None, served, realized))
 }
 
 /// Runs a selling season against the *published* listing for `kind`,
@@ -171,21 +205,11 @@ pub fn simulate_market_batched(
 ) -> Result<SimulationOutcome, MarketError> {
     assert!(cfg.n_buyers > 0, "need at least one buyer");
     assert!(batch_size > 0, "batch size must be positive");
-    assert!(
-        cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
-        "jitter must be >= 0"
-    );
     let pricing = broker
         .listed_pricing(kind)
         .ok_or(MarketError::UnsupportedModel(kind))?
         .clone();
-    let population = seller.buyer_population();
-    let predicted_revenue_per_buyer = revenue::revenue(&pricing, &population);
-    let predicted_affordability = revenue::affordability(&pricing, &population);
-    let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
-    let arrivals = Categorical::new(&demands);
-    let jitter = Normal::new(0.0, 1.0);
-
+    let season = Season::new(seller, &pricing, cfg);
     let _span = mbp_obs::span("mbp.core.simulate");
     let mut seeds = SeedStream::new(master_seed);
     let mut buyer_rng = seeded_rng(seeds.next_seed());
@@ -194,27 +218,11 @@ pub fn simulate_market_batched(
     broker.reserve_ledger(cfg.n_buyers);
     let mut requests: Vec<PurchaseRequest> = Vec::with_capacity(batch_size);
     let mut served = 0usize;
-    let mut declined = 0usize;
     let mut remaining = cfg.n_buyers;
     while remaining > 0 {
         let take = remaining.min(batch_size);
         requests.clear();
-        for _ in 0..take {
-            let idx = arrivals.sample(&mut buyer_rng);
-            let point = &population[idx];
-            let valuation = if cfg.valuation_jitter > 0.0 {
-                (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(&mut buyer_rng)))
-                    .max(0.0)
-            } else {
-                point.valuation
-            };
-            let price = pricing.price_at(point.a);
-            if price <= valuation + 1e-12 {
-                requests.push(PurchaseRequest::AtNcp(1.0 / point.a));
-            } else {
-                declined += 1;
-            }
-        }
+        requests.extend((0..take).filter_map(|_| season.next_buyer(&mut buyer_rng)));
         // The whole batched season is a pure function of `master_seed`, so
         // every batch's traces carry it as the replay seed: re-running the
         // season from a slow exemplar's seed reproduces the quote.
@@ -230,30 +238,12 @@ pub fn simulate_market_batched(
         remaining -= take;
     }
     let realized = broker.total_revenue() - ledger_before;
-    mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
-    mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Info,
-        "mbp.core.simulate",
+    Ok(season.finish(
         "batched season complete",
-        &[
-            ("buyers", cfg.n_buyers.to_string()),
-            ("batch_size", batch_size.to_string()),
-            ("served", served.to_string()),
-            ("declined", declined.to_string()),
-            (
-                "realized_per_buyer",
-                format!("{:.6}", realized / cfg.n_buyers as f64),
-            ),
-        ],
-    );
-    Ok(SimulationOutcome {
-        predicted_revenue_per_buyer,
-        realized_revenue_per_buyer: realized / cfg.n_buyers as f64,
+        Some(("batch_size", batch_size.to_string())),
         served,
-        declined,
-        predicted_affordability,
-    })
+        realized,
+    ))
 }
 
 /// Buyers per shard in [`simulate_market_sharded`]. The shard layout is a
@@ -264,7 +254,6 @@ pub const SHARD_BUYERS: usize = 512;
 /// Per-shard partial outcome, merged in shard-index order.
 struct ShardOutcome {
     served: usize,
-    declined: usize,
     paid: f64,
     txs: Vec<Transaction>,
 }
@@ -292,18 +281,7 @@ pub fn simulate_market_sharded(
     cfg: SimulationConfig,
     master_seed: u64,
 ) -> Result<SimulationOutcome, MarketError> {
-    assert!(cfg.n_buyers > 0, "need at least one buyer");
-    assert!(
-        cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
-        "jitter must be >= 0"
-    );
-    let population = seller.buyer_population();
-    let predicted_revenue_per_buyer = revenue::revenue(pricing, &population);
-    let predicted_affordability = revenue::affordability(pricing, &population);
-    let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
-    let arrivals = Categorical::new(&demands);
-    let jitter = Normal::new(0.0, 1.0);
-
+    let season = Season::new(seller, pricing, cfg);
     let _span = mbp_obs::span("mbp.core.simulate");
     let n_shards = mbp_par::chunk_count(cfg.n_buyers, SHARD_BUYERS);
     mbp_obs::counter_add("mbp.core.simulate.shards", n_shards as u64);
@@ -313,40 +291,22 @@ pub fn simulate_market_sharded(
     let shards: Vec<Result<ShardOutcome, MarketError>> = {
         let broker = &*broker;
         mbp_par::par_map_chunks(cfg.n_buyers, SHARD_BUYERS, |range| {
-            let shard_index = range.start / SHARD_BUYERS;
-            let mut rng = seeded_rng(shard_seeds[shard_index]);
+            let shard_seed = shard_seeds[range.start / SHARD_BUYERS];
+            let mut rng = seeded_rng(shard_seed);
             let mut out = ShardOutcome {
                 served: 0,
-                declined: 0,
                 paid: 0.0,
                 txs: Vec::new(),
             };
             for _ in range {
-                let idx = arrivals.sample(&mut rng);
-                let point = &population[idx];
-                let valuation = if cfg.valuation_jitter > 0.0 {
-                    (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(&mut rng)))
-                        .max(0.0)
-                } else {
-                    point.valuation
-                };
-                let price = pricing.price_at(point.a);
-                if price <= valuation + 1e-12 {
+                if let Some(request) = season.next_buyer(&mut rng) {
                     // A slow quote replays by re-running its whole shard
                     // (the shard RNG is shared by every buyer in it).
-                    mbp_obs::set_request_seed(shard_seeds[shard_index]);
-                    let (sale, tx) = broker.quote(
-                        kind,
-                        PurchaseRequest::AtNcp(1.0 / point.a),
-                        pricing,
-                        transform,
-                        &mut rng,
-                    )?;
+                    mbp_obs::set_request_seed(shard_seed);
+                    let (sale, tx) = broker.quote(kind, request, pricing, transform, &mut rng)?;
                     out.paid += sale.price;
                     out.txs.push(tx);
                     out.served += 1;
-                } else {
-                    out.declined += 1;
                 }
             }
             Ok(out)
@@ -357,39 +317,19 @@ pub fn simulate_market_sharded(
     // ledger sequence and the floating-point revenue sum never depend on
     // which thread ran which shard.
     let mut served = 0usize;
-    let mut declined = 0usize;
     let mut realized = 0.0f64;
     for shard in shards {
         let shard = shard?;
         served += shard.served;
-        declined += shard.declined;
         realized += shard.paid;
         broker.settle(shard.txs);
     }
-    mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
-    mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Info,
-        "mbp.core.simulate",
+    Ok(season.finish(
         "sharded season complete",
-        &[
-            ("buyers", cfg.n_buyers.to_string()),
-            ("shards", n_shards.to_string()),
-            ("served", served.to_string()),
-            ("declined", declined.to_string()),
-            (
-                "realized_per_buyer",
-                format!("{:.6}", realized / cfg.n_buyers as f64),
-            ),
-        ],
-    );
-    Ok(SimulationOutcome {
-        predicted_revenue_per_buyer,
-        realized_revenue_per_buyer: realized / cfg.n_buyers as f64,
+        Some(("shards", n_shards.to_string())),
         served,
-        declined,
-        predicted_affordability,
-    })
+        realized,
+    ))
 }
 
 #[cfg(test)]

@@ -445,6 +445,7 @@ impl PricingTable {
     pub fn price_at_batch(&self, xs: &[f64], scratch: &mut BatchScratch, out: &mut Vec<f64>) {
         let n_classes = 3 + self.slopes.len();
         scratch.class.clear();
+        scratch.class.reserve(xs.len());
         scratch.starts.clear();
         scratch.starts.resize(n_classes + 1, 0);
         for &x in xs {

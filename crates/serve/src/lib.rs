@@ -1,8 +1,9 @@
 //! `mbp-serve`: the marketplace's zero-dependency TCP front-end.
 //!
-//! PR 7 gave the broker a cache-resident batch kernel
-//! (`quote_batch`/`buy_batch_into`); this crate puts a network in front
-//! of it. A thread-per-core accept/IO loop (a dedicated
+//! The broker has one cache-resident purchase kernel,
+//! `Broker::quote_batch_into`, with `buy_batch_into`/`buy_batch` and the
+//! `SharedBroker` wrappers as thin adaptors over it; this crate puts a
+//! network in front of it. A thread-per-core accept/IO loop (a dedicated
 //! [`mbp_par::ThreadPool`]) serves a compact length-prefixed binary
 //! protocol ([`wire`]) over [`SharedBroker`]: each connection drains all
 //! pending requests from its socket and dispatches runs of same-listing

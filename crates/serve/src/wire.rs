@@ -23,15 +23,12 @@
 //! recoverable per-frame garbage (answer with an error frame and keep
 //! going).
 
+pub use mbp_core::codec::{digest_bytes, kind_from_u8, kind_to_u8, DIGEST_SEED, MAGIC0, MAGIC1};
 use mbp_core::market::{MarketError, PurchaseRequest};
 use mbp_ml::ModelKind;
 
 /// Protocol version carried in every header.
 pub const VERSION: u8 = 1;
-/// First magic byte (`b'M'`).
-pub const MAGIC0: u8 = b'M';
-/// Second magic byte (`b'B'`).
-pub const MAGIC1: u8 = b'B';
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame payload; anything larger is framing corruption.
@@ -267,25 +264,6 @@ pub enum Response {
     Backpressure,
     /// Drain acknowledged.
     ShutdownAck,
-}
-
-/// Wire byte for a model kind.
-pub fn kind_to_u8(kind: ModelKind) -> u8 {
-    match kind {
-        ModelKind::LinearRegression => 0,
-        ModelKind::LogisticRegression => 1,
-        ModelKind::LinearSvm => 2,
-    }
-}
-
-/// Model kind for a wire byte.
-pub fn kind_from_u8(b: u8) -> Option<ModelKind> {
-    match b {
-        0 => Some(ModelKind::LinearRegression),
-        1 => Some(ModelKind::LogisticRegression),
-        2 => Some(ModelKind::LinearSvm),
-        _ => None,
-    }
 }
 
 fn request_mode(request: PurchaseRequest) -> (u8, f64) {
@@ -597,18 +575,4 @@ pub fn decode_response(header: &Header, payload: &[u8]) -> Result<Response, Wire
         return Err(WireError::BadPayload(t));
     }
     Ok(parsed)
-}
-
-/// FNV-1a over raw frame bytes: the rolling response digest used by the
-/// determinism checks in `loadgen` and the loopback tests.
-pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a rolling FNV-1a digest state.
-pub fn digest_bytes(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

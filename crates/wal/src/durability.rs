@@ -16,11 +16,11 @@
 use crate::log::{list_segments, recover_dir, segment_path, WalConfig, WalWriter};
 use crate::record::WalEvent;
 use crate::WalError;
+use mbp_core::codec::{digest_bytes, kind_to_u8, DIGEST_SEED};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, DurabilitySink, Transaction};
 use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
-use mbp_serve::wire::{digest_bytes, kind_to_u8, DIGEST_SEED};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -27,8 +27,8 @@
 //!   **truncates** the stream at that offset: nothing after it can be
 //!   trusted because record boundaries are gone.
 
+use mbp_core::codec::{digest_bytes, kind_from_u8, kind_to_u8, DIGEST_SEED, MAGIC0, MAGIC1};
 use mbp_ml::ModelKind;
-use mbp_serve::wire::{digest_bytes, kind_from_u8, kind_to_u8, DIGEST_SEED, MAGIC0, MAGIC1};
 
 /// WAL format version.
 pub const WAL_VERSION: u8 = 1;
@@ -505,7 +505,7 @@ mod tests {
     /// handful of boundary probes.
     #[test]
     fn crash_injector_finds_the_planted_recovery_bug_in_under_five_seconds() {
-        use mbp_serve::wire::DIGEST_SEED;
+        use mbp_core::codec::DIGEST_SEED;
         use mbp_testkit::crash::{
             explore_crashes, CrashConfig, CrashOracle, CrashOutcome, LogGeometry,
         };

@@ -10,10 +10,10 @@
 //! mid-group-commit under racing `SharedBroker` buys and requires the
 //! recovered ledger to be a sub-multiset of the in-memory one.
 
+use mbp_core::codec::{digest_bytes, DIGEST_SEED};
 use mbp_core::market::DurabilitySink;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
-use mbp_serve::wire::{digest_bytes, DIGEST_SEED};
 use mbp_testkit::crash::{
     default_corpus_path, explore_crashes, CrashCase, CrashConfig, CrashHarness, CrashOracle,
     CrashOutcome, LogGeometry,
