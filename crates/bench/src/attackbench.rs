@@ -1,4 +1,4 @@
-//! Verification-layer throughput baseline (`BENCH_testkit.json`).
+//! Verification-layer throughput baseline ([`FILE`]).
 //!
 //! Times the three mbp-testkit engines against a realistic dense curve so
 //! regressions in verification throughput are visible next to the serving
@@ -16,6 +16,7 @@
 //! Every phase runs twice from the same seed; `deterministic` asserts the
 //! two runs produced identical work digests.
 
+use crate::row::{Better, Row};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::PricingFunction;
 use mbp_testkit::{
@@ -23,6 +24,9 @@ use mbp_testkit::{
     ScheduleConfig,
 };
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_testkit.json";
 
 /// One timed verification phase.
 #[derive(Debug, Clone)]
@@ -168,29 +172,29 @@ pub fn run(trials: u64) -> AttackBaseline {
 }
 
 impl AttackBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_testkit.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"trials\": {},\n", self.trials));
-        out.push_str(&format!("  \"clean\": {},\n", self.clean));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"units\": {}, \"seconds\": {:.6}, \"units_per_sec\": {:.1}, \"findings\": {}, \"deterministic\": {}}}{}\n",
-                p.name,
-                p.units,
-                p.seconds,
-                p.units_per_sec,
-                p.findings,
-                p.deterministic,
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
+    /// The baseline as artifact rows (`BENCH_testkit.json`).
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::exact("trials", self.trials, "count"),
+            Row::flag("clean", self.clean, Better::True),
+            Row::flag("deterministic", self.deterministic, Better::True),
+        ];
+        for p in &self.phases {
+            let n = format!("phases.{}", p.name);
+            rows.extend([
+                Row::exact(format!("{n}.units"), p.units, "count"),
+                Row::num(format!("{n}.seconds"), p.seconds, "s", Better::None),
+                Row::num(
+                    format!("{n}.units_per_sec"),
+                    p.units_per_sec,
+                    "1/s",
+                    Better::Higher,
+                ),
+                Row::exact(format!("{n}.findings"), p.findings, "count"),
+                Row::flag(format!("{n}.deterministic"), p.deterministic, Better::None),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -205,27 +209,5 @@ mod tests {
         assert!(b.clean, "an engine found a violation on sound inputs");
         assert!(b.deterministic, "a phase failed to reproduce its digest");
         assert!(b.phases.iter().all(|p| p.units_per_sec > 0.0));
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(1_000);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"trials\"",
-            "\"clean\"",
-            "\"deterministic\"",
-            "\"attack-curve\"",
-            "\"attack-error-space\"",
-            "\"oracle\"",
-            "\"schedule\"",
-            "\"units_per_sec\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! * **Sweep** (no arguments): boots an in-process daemon and runs the
 //!   full concurrent-connections sweep (`netbench::run`), prints the
-//!   saturation table, and writes `BENCH_serve_net.json` (overridable
-//!   with `MBP_NET_OUT`; per-connection request count with
-//!   `MBP_NET_REQUESTS`, default 2000).
+//!   sweep's rows, and writes `BENCH_serve_net.json` into `MBP_BENCH_DIR`
+//!   (default `.`; per-connection request count with `MBP_NET_REQUESTS`,
+//!   default 2000).
 //! * **Probe** (`loadgen --probe HOST:PORT [--shutdown]`): connects to an
 //!   already-running daemon (e.g. `mbp-market serve` under CI), performs
 //!   a `Hello` handshake, a ping, a quote, and a handful of buys, prints
@@ -14,8 +14,9 @@
 //!   Exits non-zero if any step fails, so CI can smoke-test the real
 //!   binary end to end.
 
-use mbp_bench::netbench;
-use mbp_bench::report::{fmt, print_table};
+use mbp_bench::report::print_rows;
+use mbp_bench::row::write_artifact;
+use mbp_bench::{env_usize, netbench};
 use mbp_core::market::PurchaseRequest;
 use mbp_ml::ModelKind;
 use mbp_serve::wire::{Request, Response};
@@ -107,45 +108,21 @@ fn main() {
     }
 
     mbp_obs::enable();
-    let per_conn = std::env::var("MBP_NET_REQUESTS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 64)
-        .unwrap_or(2_000);
+    let per_conn = env_usize("MBP_NET_REQUESTS", 2_000);
     println!(
         "sweeping {:?} connections, {per_conn} requests each (two runs per point)...",
         netbench::SWEEP_CONNS
     );
     let baseline = netbench::run(per_conn);
-    print_table(
-        &format!(
-            "Network serving sweep (saturation {:.0} rps @ {} conns, batch admission {:.2}x vs per-request, deterministic: {})",
-            baseline.saturation_rps,
-            baseline.saturation_conns,
-            baseline.batch_admission_speedup,
-            baseline.deterministic
-        ),
-        &["connections", "requests", "rps", "p50_us", "p99_us", "deterministic"],
-        &baseline
-            .sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.connections.to_string(),
-                    p.requests.to_string(),
-                    fmt(p.rps),
-                    fmt(p.p50_micros),
-                    fmt(p.p99_micros),
-                    p.deterministic.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+    let rows = baseline.rows();
+    print_rows(
+        &format!("Network serving sweep ({})", netbench::FILE),
+        &rows,
     );
-    let out = std::env::var("MBP_NET_OUT").unwrap_or_else(|_| "BENCH_serve_net.json".to_string());
-    match std::fs::write(&out, baseline.to_json()) {
-        Ok(()) => println!("network baseline written to {out}"),
+    match write_artifact(netbench::FILE, &baseline.meta, &rows) {
+        Ok(path) => println!("network baseline written to {}", path.display()),
         Err(e) => {
-            eprintln!("could not write network baseline {out}: {e}");
+            eprintln!("could not write network baseline {}: {e}", netbench::FILE);
             std::process::exit(1);
         }
     }

@@ -16,13 +16,17 @@
 //! Before any timing, every query is cross-checked: both index layouts
 //! must return *exactly* `partition_point`'s answer (`consistent`). Each
 //! workload runs twice from identical state and must reproduce its digest
-//! (`deterministic`). The `all` binary serializes the result to
-//! `BENCH_kernel.json`; the ratchet diffs per-layout throughput and the
+//! (`deterministic`). The `all` binary writes the result's rows to
+//! [`FILE`]; the ratchet diffs per-layout throughput and the
 //! grid/eytzinger-vs-partition-point speedup ratios against the committed
 //! baseline.
 
+use crate::row::{Better, Row};
 use mbp_core::SegmentIndex;
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_kernel.json";
 
 /// Knot counts exercised by the sweep.
 pub const SIZES: [usize; 3] = [16, 512, 8192];
@@ -34,8 +38,6 @@ pub struct KernelWorkload {
     pub name: String,
     /// Knots in the searched array.
     pub knots: usize,
-    /// Lookup implementation: `partition_point`, `grid`, or `eytzinger`.
-    pub layout: &'static str,
     /// Lookups per run.
     pub lookups: usize,
     /// Wall seconds for the faster of the two runs.
@@ -113,7 +115,6 @@ fn queries(keys: &[f64], lookups: usize) -> Vec<f64> {
 fn measure(
     name: String,
     knots: usize,
-    layout: &'static str,
     xs: &[f64],
     mut work: impl FnMut(f64) -> usize,
 ) -> KernelWorkload {
@@ -131,7 +132,6 @@ fn measure(
     KernelWorkload {
         name,
         knots,
-        layout,
         lookups: xs.len(),
         seconds,
         lookups_per_sec: if seconds > 0.0 {
@@ -173,30 +173,18 @@ pub fn run(lookups: usize) -> KernelBaseline {
             .iter()
             .all(|&x| eytz_idx.upper_bound(&jittered, x) == jittered.partition_point(|&k| k <= x));
 
-        let pp_uniform = measure(
-            format!("pp-uniform@{n}"),
-            n,
-            "partition_point",
-            &qs_uniform,
-            |x| uniform.partition_point(|&k| k <= x),
-        );
-        let grid = measure(format!("grid@{n}"), n, "grid", &qs_uniform, |x| {
+        let pp_uniform = measure(format!("pp-uniform@{n}"), n, &qs_uniform, |x| {
+            uniform.partition_point(|&k| k <= x)
+        });
+        let grid = measure(format!("grid@{n}"), n, &qs_uniform, |x| {
             grid_idx.upper_bound(&uniform, x)
         });
-        let pp_jittered = measure(
-            format!("pp-jittered@{n}"),
-            n,
-            "partition_point",
-            &qs_jittered,
-            |x| jittered.partition_point(|&k| k <= x),
-        );
-        let eytz = measure(
-            format!("eytzinger@{n}"),
-            n,
-            "eytzinger",
-            &qs_jittered,
-            |x| eytz_idx.upper_bound(&jittered, x),
-        );
+        let pp_jittered = measure(format!("pp-jittered@{n}"), n, &qs_jittered, |x| {
+            jittered.partition_point(|&k| k <= x)
+        });
+        let eytz = measure(format!("eytzinger@{n}"), n, &qs_jittered, |x| {
+            eytz_idx.upper_bound(&jittered, x)
+        });
 
         let ratio = |num: &KernelWorkload, den: &KernelWorkload| {
             if den.lookups_per_sec > 0.0 {
@@ -227,47 +215,37 @@ pub fn run(lookups: usize) -> KernelBaseline {
 }
 
 impl KernelBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_kernel.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!(
-            "  \"sizes\": [{}],\n",
-            SIZES.map(|n| n.to_string()).join(", ")
-        ));
-        out.push_str(&format!("  \"consistent\": {},\n", self.consistent));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"speedups\": [\n");
-        for (i, s) in self.speedups.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {:.4}}}{}\n",
-                s.name,
+    /// The baseline as artifact rows (`BENCH_kernel.json`).
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::flag("consistent", self.consistent, Better::True),
+            Row::flag("deterministic", self.deterministic, Better::True),
+        ];
+        for s in &self.speedups {
+            rows.push(Row::num(
+                format!("speedups.{}", s.name),
                 s.value,
-                if i + 1 == self.speedups.len() {
-                    ""
-                } else {
-                    ","
-                }
+                "x",
+                Better::Higher,
             ));
         }
-        out.push_str("  ],\n  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"knots\": {}, \"layout\": \"{}\", \"lookups\": {}, \"seconds\": {:.6}, \"lookups_per_sec\": {:.1}, \"digest\": {:.1}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.knots,
-                w.layout,
-                w.lookups,
-                w.seconds,
-                w.lookups_per_sec,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
+        for w in &self.workloads {
+            let p = format!("workloads.{}", w.name);
+            rows.extend([
+                Row::exact(format!("{p}.knots"), w.knots as u64, "count"),
+                Row::exact(format!("{p}.lookups"), w.lookups as u64, "count"),
+                Row::num(format!("{p}.seconds"), w.seconds, "s", Better::None),
+                Row::num(
+                    format!("{p}.lookups_per_sec"),
+                    w.lookups_per_sec,
+                    "1/s",
+                    Better::Higher,
+                ),
+                Row::num(format!("{p}.digest"), w.digest, "digest", Better::None),
+                Row::flag(format!("{p}.deterministic"), w.deterministic, Better::None),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -287,33 +265,5 @@ mod tests {
         assert!(b.deterministic, "a workload failed to reproduce its digest");
         assert!(b.workloads.iter().all(|w| w.lookups_per_sec > 0.0));
         assert!(b.speedups.iter().all(|s| s.value > 0.0));
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(1024);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"sizes\"",
-            "\"consistent\"",
-            "\"deterministic\"",
-            "\"speedups\"",
-            "\"lookups_per_sec\"",
-            "\"grid_vs_pp@512\"",
-            "\"eytzinger_vs_pp@8192\"",
-            "\"pp-uniform@16\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        // The artifact must round-trip through the ratchet's parser.
-        let doc = crate::ratchet::parse_json(&json).expect("artifact parses");
-        assert_eq!(
-            doc.get("workloads")
-                .and_then(crate::ratchet::Json::as_arr)
-                .map(<[_]>::len),
-            Some(4 * SIZES.len())
-        );
     }
 }

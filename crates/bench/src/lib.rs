@@ -25,6 +25,7 @@ pub mod netbench;
 pub mod parbench;
 pub mod ratchet;
 pub mod report;
+pub mod row;
 pub mod servebench;
 pub mod tracebench;
 pub mod walbench;
@@ -68,15 +69,15 @@ impl RunMeta {
             generated_at: sanitize_stamp(&std::env::var("MBP_BENCH_TIME").unwrap_or_default()),
         }
     }
+}
 
-    /// The stamp as JSON object fields (no surrounding braces), indented
-    /// two spaces and ending with a trailing comma + newline.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "  \"hardware_threads\": {},\n  \"commit\": \"{}\",\n  \"generated_at\": \"{}\",\n",
-            self.hardware_threads, self.commit, self.generated_at
-        )
-    }
+/// A size knob: the environment variable parsed as `usize`, or `default`
+/// when it is unset or not a number.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .unwrap_or(default)
 }
 
 /// Experiment-scale configuration.
@@ -128,4 +129,12 @@ impl Config {
         }
         cfg
     }
+}
+
+/// Tracing-overhead runs flip process-global obs state; tests that run
+/// them serialize on this lock.
+#[cfg(test)]
+pub(crate) fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }

@@ -20,8 +20,9 @@
 //! backpressure frames (which are timing-dependent) never enter the
 //! response streams being digested.
 //!
-//! The `loadgen` binary serializes the result to `BENCH_serve_net.json`.
+//! The `loadgen` binary writes the result's rows to [`FILE`].
 
+use crate::row::{Better, Row};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;
 use mbp_core::market::{Broker, PurchaseRequest};
@@ -31,6 +32,9 @@ use mbp_randx::seeded_rng;
 use mbp_serve::wire::{Request, Response};
 use mbp_serve::{Client, ServerConfig};
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_serve_net.json";
 
 /// Pipelined requests per flush; far below the server queue limit so the
 /// digested streams never contain timing-dependent backpressure frames.
@@ -270,53 +274,41 @@ pub fn run(per_conn: usize) -> NetBaseline {
 }
 
 impl NetBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_serve_net.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!(
-            "  \"requests_per_conn\": {},\n",
-            self.requests_per_conn
-        ));
-        out.push_str(&format!(
-            "  \"saturation_rps\": {:.1},\n",
-            self.saturation_rps
-        ));
-        out.push_str(&format!(
-            "  \"saturation_conns\": {},\n",
-            self.saturation_conns
-        ));
-        out.push_str(&format!(
-            "  \"per_request_rps\": {:.1},\n",
-            self.per_request_rps
-        ));
-        out.push_str(&format!(
-            "  \"batch_admission_speedup\": {:.4},\n",
-            self.batch_admission_speedup
-        ));
-        out.push_str(&format!(
-            "  \"per_request_matches_batched\": {},\n",
-            self.per_request_matches_batched
-        ));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"sweep\": [\n");
-        for (i, p) in self.sweep.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"connections\": {}, \"requests\": {}, \"seconds\": {:.6}, \"rps\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}, \"digest\": {}, \"deterministic\": {}}}{}\n",
-                p.connections,
-                p.requests,
-                p.seconds,
-                p.rps,
-                p.p50_micros,
-                p.p99_micros,
-                p.digest,
-                p.deterministic,
-                if i + 1 == self.sweep.len() { "" } else { "," }
-            ));
+    /// The baseline as artifact rows (`BENCH_serve_net.json`). Digests
+    /// are exact u64 rows.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::exact("requests_per_conn", self.requests_per_conn as u64, "count"),
+            Row::num("saturation_rps", self.saturation_rps, "1/s", Better::Higher),
+            Row::exact("saturation_conns", self.saturation_conns as u64, "count"),
+            Row::num("per_request_rps", self.per_request_rps, "1/s", Better::None),
+            Row::num(
+                "batch_admission_speedup",
+                self.batch_admission_speedup,
+                "x",
+                Better::Higher,
+            )
+            .floor(2.0),
+            Row::flag(
+                "per_request_matches_batched",
+                self.per_request_matches_batched,
+                Better::True,
+            ),
+            Row::flag("deterministic", self.deterministic, Better::True),
+        ];
+        for p in &self.sweep {
+            let n = format!("sweep.{}conns", p.connections);
+            rows.extend([
+                Row::exact(format!("{n}.requests"), p.requests as u64, "count"),
+                Row::num(format!("{n}.seconds"), p.seconds, "s", Better::None),
+                Row::num(format!("{n}.rps"), p.rps, "1/s", Better::None),
+                Row::num(format!("{n}.p50_micros"), p.p50_micros, "us", Better::None),
+                Row::num(format!("{n}.p99_micros"), p.p99_micros, "us", Better::Lower),
+                Row::exact(format!("{n}.digest"), p.digest, "digest"),
+                Row::flag(format!("{n}.deterministic"), p.deterministic, Better::None),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -335,28 +327,5 @@ mod tests {
             "batch admission changed responses"
         );
         assert!(b.batch_admission_speedup > 0.0);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(64);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"requests_per_conn\"",
-            "\"saturation_rps\"",
-            "\"saturation_conns\"",
-            "\"per_request_rps\"",
-            "\"batch_admission_speedup\"",
-            "\"per_request_matches_batched\"",
-            "\"deterministic\"",
-            "\"connections\"",
-            "\"p99_micros\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

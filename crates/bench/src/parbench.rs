@@ -5,13 +5,14 @@
 //! noise sampling, and the sharded market simulation — at 1, 2, and 4
 //! threads (via [`mbp_par::with_threads`], so one process measures all
 //! three), and records per-phase speedups plus a determinism digest. The
-//! `all` binary serializes the result to `BENCH_parallel.json`.
+//! `all` binary writes the result's rows to [`FILE`].
 //!
 //! Speedups are hardware-dependent: on a single-core container every
 //! configuration multiplexes onto one CPU and speedups hover around 1.0
 //! (the `hardware_threads` field records what the box offered), while on a
 //! multi-core machine the chunked phases scale with the thread count.
 
+use crate::row::{Better, Row};
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
 use mbp_core::market::simulation::{simulate_market_sharded, SimulationConfig};
 use mbp_core::market::{Broker, Seller};
@@ -21,6 +22,9 @@ use mbp_linalg::{Matrix, Vector};
 use mbp_ml::{LogisticLoss, ModelKind, Objective};
 use mbp_randx::seeded_rng;
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_parallel.json";
 
 /// The thread counts every phase is measured at.
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -54,11 +58,9 @@ impl PhaseResult {
 /// The full baseline: environment description plus per-phase results.
 #[derive(Debug, Clone)]
 pub struct ParallelBaseline {
-    /// Thread counts measured (always [`THREAD_COUNTS`]).
-    pub threads: Vec<usize>,
-    /// What `std::thread::available_parallelism` reported — speedups above
-    /// 1.0 are only physically possible up to this count.
-    pub hardware_threads: usize,
+    /// Machine + commit + timestamp provenance stamp. Speedups above 1.0
+    /// are only physically possible up to its `hardware_threads`.
+    pub meta: crate::RunMeta,
     /// The pool size the process would use absent overrides
     /// (`--threads` / `MBP_THREADS` / hardware).
     pub default_threads: usize,
@@ -210,8 +212,7 @@ pub fn run(reps: usize) -> ParallelBaseline {
     ];
 
     ParallelBaseline {
-        threads: THREAD_COUNTS.to_vec(),
-        hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        meta: crate::RunMeta::from_env(),
         default_threads: mbp_par::default_threads(),
         reps,
         phases,
@@ -219,47 +220,33 @@ pub fn run(reps: usize) -> ParallelBaseline {
 }
 
 impl ParallelBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_parallel.json`).
-    pub fn to_json(&self) -> String {
-        let list = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"threads\": [{}],\n",
-            self.threads
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            "  \"hardware_threads\": {},\n",
-            self.hardware_threads
-        ));
-        out.push_str(&format!(
-            "  \"default_threads\": {},\n",
-            self.default_threads
-        ));
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seconds\": [{}], \"speedup_2\": {:.4}, \"speedup_4\": {:.4}, \"deterministic\": {}}}{}\n",
-                p.name,
-                list(&p.seconds),
-                p.speedup_at(2),
-                p.speedup_at(4),
+    /// The baseline as artifact rows (`BENCH_parallel.json`). Nothing here
+    /// is gated: speedups depend on the machine's core count.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::exact("default_threads", self.default_threads as u64, "count"),
+            Row::exact("reps", self.reps as u64, "count"),
+        ];
+        for p in &self.phases {
+            let n = format!("phases.{}", p.name);
+            for (t, s) in THREAD_COUNTS.iter().zip(&p.seconds) {
+                rows.push(Row::num(format!("{n}.seconds@{t}"), *s, "s", Better::None));
+            }
+            for t in [2, 4] {
+                rows.push(Row::num(
+                    format!("{n}.speedup@{t}"),
+                    p.speedup_at(t),
+                    "x",
+                    Better::None,
+                ));
+            }
+            rows.push(Row::flag(
+                format!("{n}.deterministic"),
                 p.deterministic,
-                if i + 1 == self.phases.len() { "" } else { "," }
+                Better::None,
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -267,45 +254,17 @@ impl ParallelBaseline {
 mod tests {
     use super::*;
 
-    fn tiny_baseline() -> ParallelBaseline {
-        ParallelBaseline {
-            threads: THREAD_COUNTS.to_vec(),
-            hardware_threads: 1,
-            default_threads: 1,
-            reps: 1,
-            phases: vec![PhaseResult {
-                name: "unit",
-                seconds: vec![0.4, 0.21, 0.1],
-                digests: vec![1.0, 1.0, 1.0],
-                deterministic: true,
-            }],
-        }
-    }
-
     #[test]
     fn speedups_derive_from_recorded_seconds() {
-        let b = tiny_baseline();
-        let p = &b.phases[0];
+        let p = PhaseResult {
+            name: "unit",
+            seconds: vec![0.4, 0.21, 0.1],
+            digests: vec![1.0, 1.0, 1.0],
+            deterministic: true,
+        };
         assert!((p.speedup_at(2) - 0.4 / 0.21).abs() < 1e-12);
         assert!((p.speedup_at(4) - 4.0).abs() < 1e-12);
         assert_eq!(p.speedup_at(3), 1.0); // unmeasured count
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let json = tiny_baseline().to_json();
-        for key in [
-            "\"threads\"",
-            "\"hardware_threads\"",
-            "\"default_threads\"",
-            "\"phases\"",
-            "\"speedup_2\"",
-            "\"speedup_4\"",
-            "\"deterministic\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -1,32 +1,32 @@
-//! Bench ratchet: diffs a fresh `BENCH_*.json` against the committed
-//! baseline and fails when the numbers stop improving.
+//! Bench ratchet: one comparator for every `BENCH_*.json` artifact.
 //!
-//! The ratchet is one-directional with tolerance bands:
+//! Artifacts are flat [`Row`] lists (see [`crate::row`]), and
+//! [`compare`] applies four rules to them:
 //!
-//! * **Ratio metrics** (`table_speedup_vs_scan`, `batch_speedup_vs_single`,
-//!   `factor_cache_speedup`) are same-process measurement ratios and
-//!   therefore largely machine-independent. They must not fall below
-//!   `baseline × (1 − ratio_tolerance)`; the default band is 15% and
-//!   `MBP_RATCHET_RATIO_TOL` widens it for noisy runners.
-//! * **Absolute latencies** (per-workload `p99_micros`) and throughputs
-//!   (per-phase `units_per_sec`) depend on the machine. They must not
-//!   regress beyond `baseline × (1 ± p99_tolerance)`; the default band is
-//!   100% (a gross-regression guard — absolute timings on shared or
-//!   single-core runners are noisy) and `MBP_RATCHET_TOL` adjusts it.
-//! * **Invariants** (`deterministic`, `clean`, `table_matches_scan`,
-//!   `consistent`) must hold in the fresh run unconditionally — no
-//!   tolerance.
-//! * **Hard floors** are absolute: the *committed* serving baseline must
-//!   show `table_speedup_vs_scan ≥ 1.0` and `batch_speedup_vs_single ≥
-//!   3.0`. Binding the committed artifact (smoke re-runs time these
-//!   ratios too noisily for an exact cutoff) means a regression cannot be
-//!   laundered by regenerating a worse baseline — the regeneration itself
-//!   fails CI, while fresh runs stay inside the relative ratio band.
+//! 1. **Invariants.** A `true` row (`deterministic`, `clean`,
+//!    `table_matches_scan`, …) must read 1 in the fresh run — no tolerance.
+//! 2. **Bands.** A `higher` / `lower` row must stay within its band of the
+//!    committed row with the same name. Rows with unit `x` are same-process
+//!    ratios, largely machine-independent, and get `ratio_tolerance`
+//!    (default 15%, `MBP_RATCHET_RATIO_TOL`). Every other unit — p99
+//!    latencies, throughputs — depends on the machine and gets
+//!    `p99_tolerance` (default 100%, a gross-regression guard,
+//!    `MBP_RATCHET_TOL`).
+//! 3. **Hard bounds.** A row's `floor` / `ceiling` binds the *committed*
+//!    value: smoke re-runs time these ratios too noisily for an exact
+//!    cutoff, and binding the committed artifact means a regression cannot
+//!    be laundered by regenerating a worse baseline — the regeneration
+//!    itself fails CI, while fresh runs stay inside the relative band.
+//! 4. **Trace budgets.** Fresh tracing overhead must stay under the fixed
+//!    [`TRACE_BUDGETS`]; the committed artifact carries the strict
+//!    2% / 10% contract as ceilings (rule 3).
 //!
-//! Artifacts are parsed with a small self-contained JSON reader (the
-//! workspace is dependency-free), so the comparator accepts any
-//! conforming document, not just the exact strings our emitters produce.
+//! A committed row missing from the fresh run fails. Artifacts are parsed
+//! with a small self-contained JSON reader (the workspace is
+//! dependency-free), so the comparator accepts any conforming document,
+//! not just the exact text the writer produces.
 
+use crate::row::{Better, Row, Value};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -36,8 +36,11 @@ use std::collections::BTreeMap;
 /// A parsed JSON value (number, string, bool, null, array, or object).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// A JSON number (always held as `f64`).
+    /// A JSON number with a fraction or exponent, or an integer too large
+    /// for `u64`.
     Num(f64),
+    /// A JSON integer literal that fits a `u64`, held exactly.
+    Int(u64),
     /// A JSON string (escapes decoded).
     Str(String),
     /// `true` / `false`.
@@ -59,10 +62,11 @@ impl Json {
         }
     }
 
-    /// Numeric value, if this is a number.
+    /// Numeric value, if this is a number (integers above 2^53 round).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::Int(v) => Some(*v as f64),
             _ => None,
         }
     }
@@ -71,14 +75,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -197,6 +193,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number bytes"))?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::Int(v));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -274,12 +275,20 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 // Comparator
 // ---------------------------------------------------------------------------
 
+/// Fresh tracing-overhead budgets (rule 4): single-core and shared
+/// machines time the floor-vs-disabled delta too noisily for the strict
+/// 2% / 10% contract, so the fresh re-measurement is a gross-regression
+/// guard (catching e.g. an accidental syscall or allocation on the
+/// disabled path).
+pub const TRACE_BUDGETS: [(&str, f64); 2] =
+    [("overhead_disabled", 0.25), ("overhead_enabled", 0.50)];
+
 /// Tolerance bands for the ratchet.
 #[derive(Debug, Clone, Copy)]
 pub struct RatchetConfig {
-    /// Allowed relative drop on machine-independent ratio metrics.
+    /// Allowed relative drop on same-process ratio rows (unit `x`).
     pub ratio_tolerance: f64,
-    /// Allowed relative regression on absolute latencies / throughputs.
+    /// Allowed relative regression on every other gated row.
     pub p99_tolerance: f64,
 }
 
@@ -298,43 +307,26 @@ impl RatchetConfig {
     /// widening the ratio band for slow or shared runners (single smoke
     /// runs on a time-sliced core swing same-process ratios by ±25%).
     pub fn from_env() -> Self {
-        let mut cfg = RatchetConfig::default();
-        if let Ok(s) = std::env::var("MBP_RATCHET_TOL") {
-            if let Ok(v) = s.parse::<f64>() {
-                if v.is_finite() && v >= 0.0 {
-                    cfg.p99_tolerance = v;
-                }
-            }
+        let tol = |name: &str, default: f64| {
+            std::env::var(name)
+                .ok()
+                .and_then(|s| s.parse::<f64>().ok())
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .unwrap_or(default)
+        };
+        let d = RatchetConfig::default();
+        RatchetConfig {
+            ratio_tolerance: tol("MBP_RATCHET_RATIO_TOL", d.ratio_tolerance),
+            p99_tolerance: tol("MBP_RATCHET_TOL", d.p99_tolerance),
         }
-        if let Ok(s) = std::env::var("MBP_RATCHET_RATIO_TOL") {
-            if let Ok(v) = s.parse::<f64>() {
-                if v.is_finite() && v >= 0.0 {
-                    cfg.ratio_tolerance = v;
-                }
-            }
-        }
-        cfg
     }
 }
 
-/// One ratchet comparison: a metric, both values, and the verdict.
-#[derive(Debug, Clone)]
-pub struct RatchetCheck {
-    /// Metric path, e.g. `workloads.serve-into.p99_micros`.
-    pub metric: String,
-    /// Committed baseline value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub fresh: f64,
-    /// Whether the fresh value is within the tolerance band.
-    pub ok: bool,
-}
-
-/// The full ratchet verdict for one artifact pair.
+/// The ratchet verdict for one artifact.
 #[derive(Debug, Clone, Default)]
 pub struct RatchetReport {
-    /// Every comparison performed.
-    pub checks: Vec<RatchetCheck>,
+    /// Checks performed.
+    pub checks: usize,
     /// Human-readable failure descriptions (empty means pass).
     pub failures: Vec<String>,
 }
@@ -345,78 +337,22 @@ impl RatchetReport {
         self.failures.is_empty()
     }
 
-    fn ratio_floor(&mut self, metric: &str, baseline: f64, fresh: f64, tol: f64) {
-        let floor = baseline * (1.0 - tol);
-        let ok = fresh >= floor;
-        self.checks.push(RatchetCheck {
-            metric: metric.to_string(),
-            baseline,
-            fresh,
-            ok,
-        });
+    fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        self.checks += 1;
         if !ok {
-            self.failures.push(format!(
-                "{metric} regressed: fresh {fresh:.4} < floor {floor:.4} (baseline {baseline:.4}, tol {tol:.2})"
-            ));
-        }
-    }
-
-    fn latency_ceiling(&mut self, metric: &str, baseline: f64, fresh: f64, tol: f64) {
-        let ceiling = baseline * (1.0 + tol);
-        let ok = fresh <= ceiling;
-        self.checks.push(RatchetCheck {
-            metric: metric.to_string(),
-            baseline,
-            fresh,
-            ok,
-        });
-        if !ok {
-            self.failures.push(format!(
-                "{metric} regressed: fresh {fresh:.3} > ceiling {ceiling:.3} (baseline {baseline:.3}, tol {tol:.2})"
-            ));
-        }
-    }
-
-    /// An absolute floor, applied to the committed artifact: a baseline
-    /// that does not clear it cannot be committed, so regenerating a worse
-    /// baseline fails CI instead of quietly lowering the bar.
-    fn hard_floor(&mut self, metric: &str, floor: f64, value: f64) {
-        let ok = value >= floor;
-        self.checks.push(RatchetCheck {
-            metric: metric.to_string(),
-            baseline: floor,
-            fresh: value,
-            ok,
-        });
-        if !ok {
-            self.failures.push(format!(
-                "{metric} below hard floor: committed {value:.4} < {floor:.4}"
-            ));
-        }
-    }
-
-    fn invariant(&mut self, metric: &str, holds: bool) {
-        self.checks.push(RatchetCheck {
-            metric: metric.to_string(),
-            baseline: 1.0,
-            fresh: if holds { 1.0 } else { 0.0 },
-            ok: holds,
-        });
-        if !holds {
-            self.failures
-                .push(format!("{metric} must hold in the fresh run"));
+            self.failures.push(failure());
         }
     }
 
     /// One line per failed check, or `ratchet pass (N checks)`.
     pub fn render(&self) -> String {
         if self.pass() {
-            format!("ratchet pass ({} checks)", self.checks.len())
+            format!("ratchet pass ({} checks)", self.checks)
         } else {
             let mut out = format!(
                 "ratchet FAIL ({} of {} checks):\n",
                 self.failures.len(),
-                self.checks.len()
+                self.checks
             );
             for f in &self.failures {
                 out.push_str("  - ");
@@ -428,417 +364,162 @@ impl RatchetReport {
     }
 }
 
-fn num_field(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing boolean field '{key}'"))
-}
-
-/// Indexes an array of named objects (`workloads` / `phases`) by `name`.
-fn by_name<'j>(doc: &'j Json, key: &str) -> Result<BTreeMap<String, &'j Json>, String> {
-    let arr = doc
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field '{key}'"))?;
-    let mut map = BTreeMap::new();
-    for item in arr {
-        let name = item
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("'{key}' entry without a name"))?;
-        map.insert(name.to_string(), item);
-    }
-    Ok(map)
-}
-
-/// Diffs a fresh `BENCH_serving.json` against the committed baseline.
-pub fn compare_serving(
-    baseline_json: &str,
-    fresh_json: &str,
-    cfg: &RatchetConfig,
-) -> Result<RatchetReport, String> {
-    let base = parse_json(baseline_json)?;
-    let fresh = parse_json(fresh_json)?;
+/// Diffs a fresh run against the committed artifact by the four rules in
+/// the module docs. With `fresh = None` the committed artifact is audited
+/// alone: its own invariants (rule 1) and hard bounds (rule 3).
+pub fn compare(committed: &[Row], fresh: Option<&[Row]>, cfg: &RatchetConfig) -> RatchetReport {
     let mut report = RatchetReport::default();
-
-    for metric in [
-        "table_speedup_vs_scan",
-        "batch_speedup_vs_single",
-        "factor_cache_speedup",
-    ] {
-        report.ratio_floor(
-            metric,
-            num_field(&base, metric)?,
-            num_field(&fresh, metric)?,
-            cfg.ratio_tolerance,
-        );
+    for row in fresh.unwrap_or(committed) {
+        if row.better == Better::True {
+            report.check(matches!(row.value, Value::Exact(1)), || {
+                format!("{} must hold in the fresh run", row.name)
+            });
+        }
     }
-    // Hard floors on the *committed* artifact: the compiled table must
-    // beat the scan outright, and the batch path must hold its lead over
-    // single-quote serving. Binding the committed document (not the smoke
-    // re-measurement, whose short runs time these ratios noisily) means a
-    // regression cannot be laundered by regenerating a worse baseline —
-    // the regeneration itself fails CI. Fresh runs are still held within
-    // `ratio_tolerance` of the committed values above.
-    report.hard_floor(
-        "table_speedup_vs_scan.hard_floor",
-        1.0,
-        num_field(&base, "table_speedup_vs_scan")?,
-    );
-    report.hard_floor(
-        "batch_speedup_vs_single.hard_floor",
-        3.0,
-        num_field(&base, "batch_speedup_vs_single")?,
-    );
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-    report.invariant(
-        "table_matches_scan",
-        bool_field(&fresh, "table_matches_scan").unwrap_or(false),
-    );
-
-    let base_workloads = by_name(&base, "workloads")?;
-    let fresh_workloads = by_name(&fresh, "workloads")?;
-    for (name, base_w) in &base_workloads {
-        let Some(fresh_w) = fresh_workloads.get(name) else {
+    let fresh_by_name: BTreeMap<&str, &Row> = fresh
+        .unwrap_or_default()
+        .iter()
+        .map(|r| (r.name.as_str(), r))
+        .collect();
+    for base in committed {
+        let name = &base.name;
+        let value = base.value.as_f64();
+        if let Some(floor) = base.floor {
+            report.check(value >= floor, || {
+                format!("{name} below hard floor: committed {value:.4} < {floor:.4}")
+            });
+        }
+        if let Some(ceiling) = base.ceiling {
+            report.check(value <= ceiling, || {
+                format!("{name} above hard ceiling: committed {value:.4} > {ceiling:.4}")
+            });
+        }
+        if fresh.is_none() {
+            continue;
+        }
+        let Some(now) = fresh_by_name.get(name.as_str()) else {
             report
                 .failures
-                .push(format!("workload '{name}' missing from fresh run"));
+                .push(format!("{name} missing from fresh run"));
             continue;
         };
-        report.latency_ceiling(
-            &format!("workloads.{name}.p99_micros"),
-            num_field(base_w, "p99_micros")?,
-            num_field(fresh_w, "p99_micros")?,
-            cfg.p99_tolerance,
-        );
-    }
-    Ok(report)
-}
-
-/// Indexes the `sweep` array of a `BENCH_serve_net.json` by connection
-/// count.
-fn by_conns<'j>(doc: &'j Json, key: &str) -> Result<BTreeMap<u64, &'j Json>, String> {
-    let arr = doc
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field '{key}'"))?;
-    let mut map = BTreeMap::new();
-    for item in arr {
-        let conns = item
-            .get("connections")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("'{key}' entry without a connection count"))?;
-        map.insert(conns as u64, item);
-    }
-    Ok(map)
-}
-
-/// Diffs a fresh `BENCH_serve_net.json` against the committed baseline.
-///
-/// `batch_admission_speedup` is a same-process measurement ratio and
-/// ratchets under `ratio_tolerance`, with a **hard floor of 2.0 on the
-/// committed artifact**: the daemon's coalesced dispatch must beat
-/// one-kernel-call-per-request serving at least 2x, and a regeneration
-/// that fails to clear that floor fails CI instead of lowering the bar.
-/// Saturation RPS and per-sweep-point p99s are machine-dependent and get
-/// the wide `p99_tolerance` band. `deterministic` (every sweep point
-/// reproduced its response digest) and `per_request_matches_batched`
-/// (batch coalescing changed no response bytes) must hold in the fresh
-/// run unconditionally.
-pub fn compare_serve_net(
-    baseline_json: &str,
-    fresh_json: &str,
-    cfg: &RatchetConfig,
-) -> Result<RatchetReport, String> {
-    let base = parse_json(baseline_json)?;
-    let fresh = parse_json(fresh_json)?;
-    let mut report = RatchetReport::default();
-
-    report.ratio_floor(
-        "batch_admission_speedup",
-        num_field(&base, "batch_admission_speedup")?,
-        num_field(&fresh, "batch_admission_speedup")?,
-        cfg.ratio_tolerance,
-    );
-    report.hard_floor(
-        "batch_admission_speedup.hard_floor",
-        2.0,
-        num_field(&base, "batch_admission_speedup")?,
-    );
-    report.ratio_floor(
-        "saturation_rps",
-        num_field(&base, "saturation_rps")?,
-        num_field(&fresh, "saturation_rps")?,
-        cfg.p99_tolerance,
-    );
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-    report.invariant(
-        "per_request_matches_batched",
-        bool_field(&fresh, "per_request_matches_batched").unwrap_or(false),
-    );
-
-    let base_sweep = by_conns(&base, "sweep")?;
-    let fresh_sweep = by_conns(&fresh, "sweep")?;
-    for (conns, base_p) in &base_sweep {
-        let Some(fresh_p) = fresh_sweep.get(conns) else {
-            report
-                .failures
-                .push(format!("sweep point @{conns} conns missing from fresh run"));
-            continue;
+        let now = now.value.as_f64();
+        let tol = if base.unit == "x" {
+            cfg.ratio_tolerance
+        } else {
+            cfg.p99_tolerance
         };
-        report.latency_ceiling(
-            &format!("sweep.{conns}conns.p99_micros"),
-            num_field(base_p, "p99_micros")?,
-            num_field(fresh_p, "p99_micros")?,
-            cfg.p99_tolerance,
-        );
+        match base.better {
+            Better::Higher => {
+                let floor = value * (1.0 - tol);
+                report.check(now >= floor, || {
+                    format!("{name} regressed: fresh {now:.4} < floor {floor:.4} (baseline {value:.4}, tol {tol:.2})")
+                });
+            }
+            Better::Lower => {
+                let ceiling = value * (1.0 + tol);
+                report.check(now <= ceiling, || {
+                    format!("{name} regressed: fresh {now:.3} > ceiling {ceiling:.3} (baseline {value:.3}, tol {tol:.2})")
+                });
+            }
+            Better::True | Better::None => {}
+        }
     }
-    Ok(report)
-}
-
-/// Diffs a fresh `BENCH_testkit.json` against the committed baseline.
-pub fn compare_testkit(
-    baseline_json: &str,
-    fresh_json: &str,
-    cfg: &RatchetConfig,
-) -> Result<RatchetReport, String> {
-    let base = parse_json(baseline_json)?;
-    let fresh = parse_json(fresh_json)?;
-    let mut report = RatchetReport::default();
-
-    report.invariant("clean", bool_field(&fresh, "clean").unwrap_or(false));
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-
-    let base_phases = by_name(&base, "phases")?;
-    let fresh_phases = by_name(&fresh, "phases")?;
-    for (name, base_p) in &base_phases {
-        let Some(fresh_p) = fresh_phases.get(name) else {
-            report
-                .failures
-                .push(format!("phase '{name}' missing from fresh run"));
-            continue;
-        };
-        report.ratio_floor(
-            &format!("phases.{name}.units_per_sec"),
-            num_field(base_p, "units_per_sec")?,
-            num_field(fresh_p, "units_per_sec")?,
-            cfg.p99_tolerance,
-        );
+    for (name, budget) in TRACE_BUDGETS {
+        if let Some(row) = fresh_by_name.get(name) {
+            let now = row.value.as_f64();
+            report.check(now <= budget, || {
+                format!("{name} over budget: fresh {now:.4} > {budget:.2}")
+            });
+        }
     }
-    Ok(report)
-}
-
-/// Diffs a fresh `BENCH_kernel.json` against the committed baseline.
-///
-/// The grid / Eytzinger speedup ratios over `partition_point` are
-/// same-process measurement ratios and ratchet under `ratio_tolerance`;
-/// per-workload absolute lookup throughput is machine-dependent and gets
-/// the wide `p99_tolerance` band. `consistent` (both index layouts answer
-/// exactly like `partition_point`) and `deterministic` must hold in the
-/// fresh run unconditionally.
-pub fn compare_kernel(
-    baseline_json: &str,
-    fresh_json: &str,
-    cfg: &RatchetConfig,
-) -> Result<RatchetReport, String> {
-    let base = parse_json(baseline_json)?;
-    let fresh = parse_json(fresh_json)?;
-    let mut report = RatchetReport::default();
-
-    report.invariant(
-        "consistent",
-        bool_field(&fresh, "consistent").unwrap_or(false),
-    );
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-
-    let base_speedups = by_name(&base, "speedups")?;
-    let fresh_speedups = by_name(&fresh, "speedups")?;
-    for (name, base_s) in &base_speedups {
-        let Some(fresh_s) = fresh_speedups.get(name) else {
-            report
-                .failures
-                .push(format!("speedup '{name}' missing from fresh run"));
-            continue;
-        };
-        report.ratio_floor(
-            &format!("speedups.{name}"),
-            num_field(base_s, "value")?,
-            num_field(fresh_s, "value")?,
-            cfg.ratio_tolerance,
-        );
-    }
-
-    let base_workloads = by_name(&base, "workloads")?;
-    let fresh_workloads = by_name(&fresh, "workloads")?;
-    for (name, base_w) in &base_workloads {
-        let Some(fresh_w) = fresh_workloads.get(name) else {
-            report
-                .failures
-                .push(format!("workload '{name}' missing from fresh run"));
-            continue;
-        };
-        report.ratio_floor(
-            &format!("workloads.{name}.lookups_per_sec"),
-            num_field(base_w, "lookups_per_sec")?,
-            num_field(fresh_w, "lookups_per_sec")?,
-            cfg.p99_tolerance,
-        );
-    }
-    Ok(report)
-}
-
-/// Diffs a fresh `BENCH_wal.json` against the committed durability
-/// baseline. Append and recovery throughput ratchet like every other
-/// phase; `recovery_replay_speedup` (live ingest seconds ÷ recovery
-/// seconds) is a same-process ratio, so besides the band against the
-/// committed baseline it carries an absolute hard floor of 1.0 —
-/// recovery replaying a log slower than the market wrote it would mean
-/// crash recovery can never catch up, and such a baseline cannot be
-/// committed.
-pub fn compare_wal(
-    baseline_json: &str,
-    fresh_json: &str,
-    cfg: &RatchetConfig,
-) -> Result<RatchetReport, String> {
-    let base = parse_json(baseline_json)?;
-    let fresh = parse_json(fresh_json)?;
-    let mut report = RatchetReport::default();
-
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-    report.ratio_floor(
-        "recovery_replay_speedup",
-        num_field(&base, "recovery_replay_speedup")?,
-        num_field(&fresh, "recovery_replay_speedup")?,
-        cfg.ratio_tolerance,
-    );
-    report.hard_floor(
-        "recovery_replay_speedup.hard_floor",
-        1.0,
-        num_field(&base, "recovery_replay_speedup")?,
-    );
-
-    let base_rec = base
-        .get("recovery")
-        .ok_or_else(|| "baseline missing 'recovery'".to_string())?;
-    let fresh_rec = fresh
-        .get("recovery")
-        .ok_or_else(|| "fresh run missing 'recovery'".to_string())?;
-    report.ratio_floor(
-        "recovery.records_per_sec",
-        num_field(base_rec, "records_per_sec")?,
-        num_field(fresh_rec, "records_per_sec")?,
-        cfg.p99_tolerance,
-    );
-
-    let base_workloads = by_name(&base, "workloads")?;
-    let fresh_workloads = by_name(&fresh, "workloads")?;
-    for (name, base_w) in &base_workloads {
-        let Some(fresh_w) = fresh_workloads.get(name) else {
-            report
-                .failures
-                .push(format!("workload '{name}' missing from fresh run"));
-            continue;
-        };
-        report.ratio_floor(
-            &format!("workloads.{name}.records_per_sec"),
-            num_field(base_w, "records_per_sec")?,
-            num_field(fresh_w, "records_per_sec")?,
-            cfg.p99_tolerance,
-        );
-    }
-    Ok(report)
-}
-
-/// Diffs a fresh `BENCH_trace.json` against the tracing overhead budgets:
-/// the serve path must cost ≤ `disabled_budget` with tracing compiled in
-/// but off, and ≤ `enabled_budget` with tracing on.
-pub fn check_trace_overhead(
-    fresh_json: &str,
-    disabled_budget: f64,
-    enabled_budget: f64,
-) -> Result<RatchetReport, String> {
-    let fresh = parse_json(fresh_json)?;
-    let mut report = RatchetReport::default();
-    report.latency_ceiling(
-        "overhead_disabled",
-        disabled_budget,
-        num_field(&fresh, "overhead_disabled")?.max(0.0),
-        0.0,
-    );
-    report.latency_ceiling(
-        "overhead_enabled",
-        enabled_budget,
-        num_field(&fresh, "overhead_enabled")?.max(0.0),
-        0.0,
-    );
-    report.invariant(
-        "deterministic",
-        bool_field(&fresh, "deterministic").unwrap_or(false),
-    );
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::parse_rows;
 
-    const SERVING: &str = include_str!("../../../BENCH_serving.json");
-    const TESTKIT: &str = include_str!("../../../BENCH_testkit.json");
-    const KERNEL: &str = include_str!("../../../BENCH_kernel.json");
-    const SERVE_NET: &str = include_str!("../../../BENCH_serve_net.json");
-    const WAL: &str = include_str!("../../../BENCH_wal.json");
+    fn committed(text: &str) -> Vec<Row> {
+        parse_rows(text).expect("committed artifact parses")
+    }
+
+    fn serving() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_serving.json"))
+    }
+    fn serve_net() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_serve_net.json"))
+    }
+    fn kernel() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_kernel.json"))
+    }
+    fn wal() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_wal.json"))
+    }
+    fn testkit() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_testkit.json"))
+    }
+    fn trace() -> Vec<Row> {
+        committed(include_str!("../../../BENCH_trace.json"))
+    }
+
+    /// A copy of `rows` with the named row rewritten by `edit`.
+    fn doctored(rows: &[Row], name: &str, edit: impl Fn(&mut Row)) -> Vec<Row> {
+        let mut out = rows.to_vec();
+        let row = out
+            .iter_mut()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("row {name} present"));
+        edit(row);
+        out
+    }
+
+    fn self_compare(rows: &[Row]) -> RatchetReport {
+        compare(rows, Some(rows), &RatchetConfig::default())
+    }
+
+    fn fails_naming(report: &RatchetReport, needles: &[&str]) -> bool {
+        !report.pass()
+            && report
+                .failures
+                .iter()
+                .any(|f| needles.iter().all(|n| f.contains(n)))
+    }
 
     #[test]
     fn parser_round_trips_committed_baselines() {
-        let doc = parse_json(SERVING).expect("committed serving baseline parses");
-        assert!(doc.get("table_speedup_vs_scan").is_some());
+        let rows = serving();
+        assert!(rows.iter().any(|r| r.name == "table_speedup_vs_scan"));
         assert_eq!(
-            doc.get("workloads").and_then(Json::as_arr).map(<[_]>::len),
-            Some(7)
+            rows.iter()
+                .filter(|r| r.name.ends_with(".p99_micros"))
+                .count(),
+            7
         );
-        let doc = parse_json(TESTKIT).expect("committed testkit baseline parses");
+        let rows = testkit();
         assert_eq!(
-            doc.get("phases").and_then(Json::as_arr).map(<[_]>::len),
-            Some(4)
+            rows.iter()
+                .filter(|r| r.name.ends_with(".units_per_sec"))
+                .count(),
+            4
         );
     }
 
     #[test]
     fn parser_handles_escapes_and_nesting() {
-        let doc = parse_json(r#"{"a": [1, -2.5e-1, "x\"\\\n"], "b": {"c": true, "d": null}}"#)
-            .expect("parses");
+        let doc = parse_json(
+            r#"{"a": [1, -2.5e-1, "x\"\\\n", 18446744073709551615], "b": {"c": true, "d": null}}"#,
+        )
+        .expect("parses");
+        let a = doc.get("a").and_then(Json::as_arr).expect("array");
+        assert_eq!(a[2].as_str(), Some("x\"\\\n"));
+        assert_eq!(a[0], Json::Int(1));
+        assert_eq!(a[1], Json::Num(-0.25));
+        assert_eq!(a[3], Json::Int(u64::MAX), "integers stay exact");
         assert_eq!(
-            doc.get("a")
-                .and_then(Json::as_arr)
-                .and_then(|a| a[2].as_str()),
-            Some("x\"\\\n")
-        );
-        assert_eq!(
-            doc.get("b")
-                .and_then(|b| b.get("c"))
-                .and_then(Json::as_bool),
-            Some(true)
+            doc.get("b").and_then(|b| b.get("c")),
+            Some(&Json::Bool(true))
         );
     }
 
@@ -851,17 +532,27 @@ mod tests {
 
     #[test]
     fn ratchet_passes_on_committed_baselines() {
+        for rows in [serving(), testkit(), kernel(), serve_net(), wal()] {
+            let report = self_compare(&rows);
+            assert!(report.pass(), "{}", report.render());
+        }
+        let report = compare(&trace(), None, &RatchetConfig::default());
+        assert!(report.pass(), "{}", report.render());
+    }
+
+    /// Each ratchet section performs the same number of checks as the
+    /// per-artifact comparators it replaced (wal lost the two duplicate
+    /// fsync sweep points).
+    #[test]
+    fn check_counts_per_section_are_pinned() {
         let cfg = RatchetConfig::default();
-        let report = compare_serving(SERVING, SERVING, &cfg).expect("comparable");
-        assert!(report.pass(), "{}", report.render());
-        let report = compare_testkit(TESTKIT, TESTKIT, &cfg).expect("comparable");
-        assert!(report.pass(), "{}", report.render());
-        let report = compare_kernel(KERNEL, KERNEL, &cfg).expect("comparable");
-        assert!(report.pass(), "{}", report.render());
-        let report = compare_serve_net(SERVE_NET, SERVE_NET, &cfg).expect("comparable");
-        assert!(report.pass(), "{}", report.render());
-        let report = compare_wal(WAL, WAL, &cfg).expect("comparable");
-        assert!(report.pass(), "{}", report.render());
+        assert_eq!(compare(&trace(), None, &cfg).checks, 3);
+        assert_eq!(self_compare(&serving()).checks, 14);
+        assert_eq!(self_compare(&serve_net()).checks, 9);
+        assert_eq!(self_compare(&kernel()).checks, 20);
+        assert_eq!(self_compare(&wal()).checks, 7);
+        assert_eq!(self_compare(&testkit()).checks, 6);
+        assert_eq!(compare(&[], Some(&trace()), &cfg).checks, 3);
     }
 
     /// Acceptance: the committed durability baseline must show recovery
@@ -869,26 +560,23 @@ mod tests {
     /// baseline doctored below that floor fails its own self-compare.
     #[test]
     fn wal_hard_floor_binds_the_committed_artifact() {
-        let cfg = RatchetConfig::default();
-        let base = parse_json(WAL).expect("parses");
-        let speedup = base
-            .get("recovery_replay_speedup")
-            .and_then(Json::as_f64)
+        let rows = wal();
+        let speedup = rows
+            .iter()
+            .find(|r| r.name == "recovery_replay_speedup")
             .expect("ratio present");
+        assert_eq!(speedup.floor, Some(1.0));
         assert!(
-            speedup >= 1.0,
-            "committed recovery_replay_speedup {speedup} under the 1.0 floor"
+            speedup.value.as_f64() >= 1.0,
+            "committed recovery_replay_speedup {:?} under the 1.0 floor",
+            speedup.value
         );
-        let needle = format!("\"recovery_replay_speedup\": {speedup:.4}");
-        let doctored = WAL.replacen(&needle, "\"recovery_replay_speedup\": 0.5000", 1);
-        assert_ne!(doctored, WAL, "injection must change the document");
-        let report = compare_wal(&doctored, &doctored, &cfg).expect("comparable");
-        assert!(!report.pass(), "sub-1.0 replay speedup must fail");
+        let bad = doctored(&rows, "recovery_replay_speedup", |r| {
+            r.value = Value::Num(0.5)
+        });
+        let report = self_compare(&bad);
         assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("recovery_replay_speedup.hard_floor")),
+            fails_naming(&report, &["hard floor", "recovery_replay_speedup"]),
             "{}",
             report.render()
         );
@@ -899,56 +587,47 @@ mod tests {
     /// doctored below that floor fails its own self-compare.
     #[test]
     fn serve_net_hard_floor_binds_the_committed_artifact() {
-        let cfg = RatchetConfig::default();
-        let base = parse_json(SERVE_NET).expect("parses");
-        let speedup = base
-            .get("batch_admission_speedup")
-            .and_then(Json::as_f64)
+        let rows = serve_net();
+        let speedup = rows
+            .iter()
+            .find(|r| r.name == "batch_admission_speedup")
             .expect("ratio present");
+        assert_eq!(speedup.floor, Some(2.0));
+        assert!(speedup.value.as_f64() >= 2.0);
+        let bad = doctored(&rows, "batch_admission_speedup", |r| {
+            r.value = Value::Num(1.5)
+        });
+        let report = self_compare(&bad);
         assert!(
-            speedup >= 2.0,
-            "committed batch_admission_speedup {speedup} under the 2.0 floor"
-        );
-        let needle = format!("\"batch_admission_speedup\": {speedup:.4}");
-        let doctored = SERVE_NET.replacen(&needle, "\"batch_admission_speedup\": 1.5000", 1);
-        assert_ne!(doctored, SERVE_NET, "injection must change the document");
-        let report = compare_serve_net(&doctored, &doctored, &cfg).expect("comparable");
-        assert!(!report.pass(), "sub-2.0 admission speedup must fail");
-        assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("hard floor") && f.contains("batch_admission_speedup")),
-            "failure must name the hard floor: {:?}",
-            report.failures
+            fails_naming(&report, &["hard floor", "batch_admission_speedup"]),
+            "{}",
+            report.render()
         );
     }
 
     #[test]
     fn serve_net_ratchet_fails_on_broken_determinism_and_missing_point() {
         let cfg = RatchetConfig::default();
+        let rows = serve_net();
         // A digest mismatch in the fresh run is always fatal.
-        let broken = SERVE_NET.replacen(
-            "\"per_request_matches_batched\": true",
-            "\"per_request_matches_batched\": false",
-            1,
-        );
-        assert_ne!(broken, SERVE_NET);
-        let report = compare_serve_net(SERVE_NET, &broken, &cfg).expect("comparable");
-        assert!(!report.pass(), "digest divergence must fail");
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("per_request_matches_batched")));
+        let broken = doctored(&rows, "per_request_matches_batched", |r| {
+            r.value = Value::Exact(0)
+        });
+        let report = compare(&rows, Some(&broken), &cfg);
+        assert!(fails_naming(&report, &["per_request_matches_batched"]));
         // A dropped sweep point is fatal too.
-        let dropped = SERVE_NET.replacen("\"connections\": 16", "\"connections\": 17", 1);
-        assert_ne!(dropped, SERVE_NET);
-        let report = compare_serve_net(SERVE_NET, &dropped, &cfg).expect("comparable");
-        assert!(!report.pass(), "missing sweep point must fail");
-        assert!(report
-            .failures
+        let dropped: Vec<Row> = rows
             .iter()
-            .any(|f| f.contains("missing from fresh run")));
+            .map(|r| Row {
+                name: r.name.replace("sweep.16conns.", "sweep.17conns."),
+                ..r.clone()
+            })
+            .collect();
+        let report = compare(&rows, Some(&dropped), &cfg);
+        assert!(fails_naming(
+            &report,
+            &["sweep.16conns", "missing from fresh run"]
+        ));
     }
 
     /// The committed serving artifact must clear the absolute hard floors —
@@ -956,155 +635,139 @@ mod tests {
     /// single-quote path 3x — not merely avoid regressing against itself.
     #[test]
     fn hard_floors_bind_regardless_of_baseline() {
-        let cfg = RatchetConfig::default();
-        let base = parse_json(SERVING).expect("parses");
-        let table_speedup = base
-            .get("table_speedup_vs_scan")
-            .and_then(Json::as_f64)
-            .expect("ratio present");
-        assert!(
-            table_speedup >= 1.0,
-            "committed table_speedup_vs_scan {table_speedup} under floor"
-        );
+        let rows = serving();
+        for (name, floor) in [
+            ("table_speedup_vs_scan", 1.0),
+            ("batch_speedup_vs_single", 3.0),
+        ] {
+            let row = rows.iter().find(|r| r.name == name).expect("ratio present");
+            assert_eq!(row.floor, Some(floor), "{name}");
+            assert!(row.value.as_f64() >= floor, "committed {name} under floor");
+        }
         // Committing a baseline doctored below the floor fails its own
         // self-compare (which CI runs on every change), even though the
-        // relative ratio check alone would pass a self-compare trivially —
-        // so a worse baseline can never be laundered in.
-        let needle = format!("\"table_speedup_vs_scan\": {table_speedup:.4}");
-        let doctored = SERVING.replacen(&needle, "\"table_speedup_vs_scan\": 0.9000", 1);
-        assert_ne!(doctored, SERVING, "injection must change the document");
-        let report = compare_serving(&doctored, &doctored, &cfg).expect("comparable");
-        assert!(!report.pass(), "sub-1.0 table speedup must fail");
+        // relative band alone would pass a self-compare trivially — so a
+        // worse baseline can never be laundered in.
+        let bad = doctored(&rows, "table_speedup_vs_scan", |r| {
+            r.value = Value::Num(0.9)
+        });
+        let report = self_compare(&bad);
         assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("hard floor") && f.contains("table_speedup_vs_scan")),
-            "failure must name the hard floor: {:?}",
-            report.failures
+            fails_naming(&report, &["hard floor", "table_speedup_vs_scan"]),
+            "{}",
+            report.render()
         );
     }
 
     #[test]
     fn kernel_ratchet_fails_on_throughput_and_consistency_regressions() {
         let cfg = RatchetConfig::default();
+        let rows = kernel();
         // A consistency break is always fatal.
-        let broken = KERNEL.replacen("\"consistent\": true", "\"consistent\": false", 1);
-        assert_ne!(broken, KERNEL);
-        let report = compare_kernel(KERNEL, &broken, &cfg).expect("comparable");
-        assert!(!report.pass(), "inconsistent fresh run must fail");
+        let broken = doctored(&rows, "consistent", |r| r.value = Value::Exact(0));
+        assert!(!compare(&rows, Some(&broken), &cfg).pass());
         // A collapsed grid speedup beyond tolerance is fatal.
-        let base = parse_json(KERNEL).expect("parses");
-        let speedups = by_name(&base, "speedups").expect("speedups");
-        let grid = speedups.get("grid_vs_pp@512").expect("grid ratio present");
-        let value = num_field(grid, "value").expect("value");
-        let needle = format!("\"name\": \"grid_vs_pp@512\", \"value\": {value:.4}");
-        let poisoned = format!(
-            "\"name\": \"grid_vs_pp@512\", \"value\": {:.4}",
-            value * 0.2
+        let slowed = doctored(&rows, "speedups.grid_vs_pp@512", |r| {
+            r.value = Value::Num(r.value.as_f64() * 0.2)
+        });
+        let report = compare(&rows, Some(&slowed), &cfg);
+        assert!(
+            fails_naming(&report, &["grid_vs_pp@512"]),
+            "{}",
+            report.render()
         );
-        let slowed = KERNEL.replacen(&needle, &poisoned, 1);
-        assert_ne!(slowed, KERNEL, "injection must change the document");
-        let report = compare_kernel(KERNEL, &slowed, &cfg).expect("comparable");
-        assert!(!report.pass(), "5x grid slowdown must fail");
-        assert!(report.failures.iter().any(|f| f.contains("grid_vs_pp@512")));
     }
 
     /// Acceptance: an injected p99 regression beyond tolerance fails the
     /// ratchet, and the failure names the regressed workload.
     #[test]
     fn ratchet_fails_on_injected_p99_regression() {
-        let cfg = RatchetConfig::default();
-        let base = parse_json(SERVING).expect("parses");
-        let serve_into_p99 = base
-            .get("workloads")
-            .and_then(Json::as_arr)
-            .and_then(|ws| {
-                ws.iter()
-                    .find(|w| w.get("name").and_then(Json::as_str) == Some("serve-into"))
-            })
-            .and_then(|w| w.get("p99_micros"))
-            .and_then(Json::as_f64)
-            .expect("serve-into p99 present");
-        let needle = format!("\"p99_micros\": {serve_into_p99:.3}");
-        let poisoned = format!("\"p99_micros\": {:.3}", serve_into_p99 * 10.0);
-        let fresh = SERVING.replacen(&needle, &poisoned, 1);
-        assert_ne!(fresh, SERVING, "injection must change the document");
-        let report = compare_serving(SERVING, &fresh, &cfg).expect("comparable");
-        assert!(!report.pass(), "10x p99 regression must fail the ratchet");
-        assert!(
-            report.failures.iter().any(|f| f.contains("p99_micros")),
-            "failure must name the latency metric: {:?}",
-            report.failures
-        );
+        let rows = serving();
+        let name = "workloads.serve-into.p99_micros";
+        let fresh = doctored(&rows, name, |r| {
+            r.value = Value::Num(r.value.as_f64() * 10.0)
+        });
+        let report = compare(&rows, Some(&fresh), &RatchetConfig::default());
+        assert!(fails_naming(&report, &[name]), "{}", report.render());
     }
 
     #[test]
     fn ratchet_fails_on_ratio_regression_and_missing_workload() {
-        let cfg = RatchetConfig::default();
-        let base = parse_json(SERVING).expect("parses");
-        let table_speedup = base
-            .get("table_speedup_vs_scan")
-            .and_then(Json::as_f64)
-            .expect("ratio present");
-        let needle = format!("\"table_speedup_vs_scan\": {table_speedup:.4}");
-        let fresh = SERVING
-            .replacen(&needle, "\"table_speedup_vs_scan\": 0.0001", 1)
-            .replacen("pricing-table", "pricing-table-renamed", 1);
-        assert_ne!(fresh, SERVING, "injection must change the document");
-        let report = compare_serving(SERVING, &fresh, &cfg).expect("comparable");
-        assert!(!report.pass());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("table_speedup_vs_scan")));
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("missing from fresh run")));
+        let rows = serving();
+        let fresh: Vec<Row> = doctored(&rows, "table_speedup_vs_scan", |r| {
+            r.value = Value::Num(0.0001)
+        })
+        .into_iter()
+        .map(|r| Row {
+            name: r.name.replace("pricing-table", "pricing-table-renamed"),
+            ..r
+        })
+        .collect();
+        let report = compare(&rows, Some(&fresh), &RatchetConfig::default());
+        assert!(fails_naming(
+            &report,
+            &["table_speedup_vs_scan", "regressed"]
+        ));
+        assert!(fails_naming(
+            &report,
+            &["pricing-table", "missing from fresh run"]
+        ));
     }
 
     #[test]
     fn wider_tolerance_forgives_small_regressions() {
-        let cfg = RatchetConfig {
+        // Speedups sit comfortably above the hard floors so this test
+        // exercises the relative bands in isolation.
+        let base = vec![
+            Row::num("table_speedup_vs_scan", 2.0, "x", Better::Higher).floor(1.0),
+            Row::num("batch_speedup_vs_single", 4.0, "x", Better::Higher).floor(3.0),
+            Row::flag("deterministic", true, Better::True),
+            Row::num("workloads.w.p99_micros", 100.0, "us", Better::Lower),
+        ];
+        let fresh = doctored(&base, "table_speedup_vs_scan", |r| {
+            r.value = Value::Num(1.8)
+        });
+        let fresh = doctored(&fresh, "workloads.w.p99_micros", |r| {
+            r.value = Value::Num(140.0)
+        });
+        let loose = RatchetConfig {
             ratio_tolerance: 0.15,
             p99_tolerance: 0.50,
         };
-        // Speedups sit comfortably above the hard floors (1.0 / 3.0) so this
-        // test exercises the *relative* tolerance band in isolation.
-        let base = r#"{"table_speedup_vs_scan": 2.0, "batch_speedup_vs_single": 4.0,
-                       "factor_cache_speedup": 1.0, "deterministic": true,
-                       "table_matches_scan": true,
-                       "workloads": [{"name": "w", "p99_micros": 100.0}]}"#;
-        let fresh = base
-            .replacen(
-                "\"table_speedup_vs_scan\": 2.0",
-                "\"table_speedup_vs_scan\": 1.8",
-                1,
-            )
-            .replacen("\"p99_micros\": 100.0", "\"p99_micros\": 140.0", 1);
-        let report = compare_serving(base, &fresh, &cfg).expect("comparable");
+        let report = compare(&base, Some(&fresh), &loose);
         assert!(report.pass(), "{}", report.render());
         let tight = RatchetConfig {
             ratio_tolerance: 0.05,
             p99_tolerance: 0.10,
         };
-        let report = compare_serving(base, &fresh, &tight).expect("comparable");
-        assert!(
-            !report.pass(),
-            "tight tolerance must catch both regressions"
+        let report = compare(&base, Some(&fresh), &tight);
+        assert_eq!(
+            report.failures.len(),
+            2,
+            "tight tolerance must catch both regressions: {}",
+            report.render()
         );
     }
 
     #[test]
     fn trace_overhead_budgets_are_enforced() {
-        let good = r#"{"overhead_disabled": 0.01, "overhead_enabled": 0.06,
-                       "deterministic": true}"#;
-        let report = check_trace_overhead(good, 0.02, 0.10).expect("comparable");
+        let cfg = RatchetConfig::default();
+        let run = |disabled: f64, enabled: f64| {
+            vec![
+                Row::num("overhead_disabled", disabled, "ratio", Better::Lower).ceiling(0.02),
+                Row::num("overhead_enabled", enabled, "ratio", Better::Lower).ceiling(0.10),
+                Row::flag("deterministic", true, Better::True),
+            ]
+        };
+        // Committed: the strict 2% / 10% ceilings.
+        let report = compare(&run(0.01, 0.06), None, &cfg);
         assert!(report.pass(), "{}", report.render());
-        let bad = r#"{"overhead_disabled": 0.01, "overhead_enabled": 0.25,
-                      "deterministic": true}"#;
-        let report = check_trace_overhead(bad, 0.02, 0.10).expect("comparable");
-        assert!(!report.pass(), "blown enabled budget must fail");
+        let report = compare(&run(0.01, 0.25), None, &cfg);
+        assert!(fails_naming(&report, &["overhead_enabled", "ceiling"]));
+        // Fresh: the fixed 25% / 50% budgets.
+        let report = compare(&[], Some(&run(0.01, 0.25)), &cfg);
+        assert!(report.pass(), "{}", report.render());
+        let report = compare(&[], Some(&run(0.01, 0.60)), &cfg);
+        assert!(fails_naming(&report, &["overhead_enabled", "budget"]));
     }
 }

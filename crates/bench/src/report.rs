@@ -26,6 +26,30 @@ pub fn fmt(x: f64) -> String {
     }
 }
 
+/// Prints a titled table of bench artifact rows: name, value, unit, and
+/// how the ratchet treats the row (with any hard bound).
+pub fn print_rows(title: &str, rows: &[crate::row::Row]) {
+    use crate::row::Value;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let mut gate = r.better.as_str().to_string();
+            if let Some(f) = r.floor {
+                gate.push_str(&format!(" (floor {})", fmt(f)));
+            }
+            if let Some(c) = r.ceiling {
+                gate.push_str(&format!(" (ceiling {})", fmt(c)));
+            }
+            let value = match r.value {
+                Value::Num(v) => fmt(v),
+                Value::Exact(v) => v.to_string(),
+            };
+            vec![r.name.clone(), value, r.unit.clone(), gate]
+        })
+        .collect();
+    print_table(title, &["row", "value", "unit", "better"], &table);
+}
+
 /// Prints a titled table of every metric in an [`mbp_obs`] snapshot: one
 /// row per counter and gauge, and one per histogram with count, mean, and
 /// interpolated p50/p99 (formatted as durations, since the workspace's
@@ -93,6 +117,18 @@ mod tests {
             labeled: Vec::new(),
         };
         print_metrics("populated", &snap); // smoke: must not panic
+    }
+
+    #[test]
+    fn print_rows_smoke() {
+        use crate::row::{Better, Row};
+        print_rows(
+            "rows",
+            &[
+                Row::num("speedup", 2.5, "x", Better::Higher).floor(1.0),
+                Row::exact("digest", u64::MAX, "digest"),
+            ],
+        );
     }
 
     #[test]

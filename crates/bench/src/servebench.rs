@@ -19,8 +19,9 @@
 //!
 //! Every workload runs its quote stream twice from the same seed and
 //! records both digests; `deterministic` asserts they agree exactly. The
-//! `all` binary serializes the result to `BENCH_serving.json`.
+//! `all` binary writes the result's rows to [`FILE`].
 
+use crate::row::{Better, Row};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, PurchaseRequest, Sale};
 use mbp_core::PricingFunction;
@@ -28,6 +29,9 @@ use mbp_ml::train::{ridge_closed_form, RidgeSolver};
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_serving.json";
 
 /// One measured serving workload.
 #[derive(Debug, Clone)]
@@ -362,47 +366,52 @@ pub fn run(quotes: usize) -> ServingBaseline {
 }
 
 impl ServingBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_serving.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"grid_points\": {},\n", self.grid_points));
-        out.push_str(&format!("  \"model_dim\": {},\n", self.model_dim));
-        out.push_str(&format!(
-            "  \"table_speedup_vs_scan\": {:.4},\n",
-            self.table_speedup_vs_scan
-        ));
-        out.push_str(&format!(
-            "  \"batch_speedup_vs_single\": {:.4},\n",
-            self.batch_speedup_vs_single
-        ));
-        out.push_str(&format!(
-            "  \"factor_cache_speedup\": {:.4},\n",
-            self.factor_cache_speedup
-        ));
-        out.push_str(&format!(
-            "  \"table_matches_scan\": {},\n",
-            self.table_matches_scan
-        ));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"quotes\": {}, \"seconds\": {:.6}, \"quotes_per_sec\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}, \"digest\": {:.6}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.quotes,
-                w.seconds,
-                w.quotes_per_sec,
-                w.p50_micros,
-                w.p99_micros,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
+    /// The baseline as artifact rows (`BENCH_serving.json`).
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::exact("grid_points", self.grid_points as u64, "count"),
+            Row::exact("model_dim", self.model_dim as u64, "count"),
+            Row::num(
+                "table_speedup_vs_scan",
+                self.table_speedup_vs_scan,
+                "x",
+                Better::Higher,
+            )
+            .floor(1.0),
+            Row::num(
+                "batch_speedup_vs_single",
+                self.batch_speedup_vs_single,
+                "x",
+                Better::Higher,
+            )
+            .floor(3.0),
+            Row::num(
+                "factor_cache_speedup",
+                self.factor_cache_speedup,
+                "x",
+                Better::Higher,
+            ),
+            Row::flag("table_matches_scan", self.table_matches_scan, Better::True),
+            Row::flag("deterministic", self.deterministic, Better::True),
+        ];
+        for w in &self.workloads {
+            let p = format!("workloads.{}", w.name);
+            rows.extend([
+                Row::exact(format!("{p}.quotes"), w.quotes as u64, "count"),
+                Row::num(format!("{p}.seconds"), w.seconds, "s", Better::None),
+                Row::num(
+                    format!("{p}.quotes_per_sec"),
+                    w.quotes_per_sec,
+                    "1/s",
+                    Better::None,
+                ),
+                Row::num(format!("{p}.p50_micros"), w.p50_micros, "us", Better::None),
+                Row::num(format!("{p}.p99_micros"), w.p99_micros, "us", Better::Lower),
+                Row::num(format!("{p}.digest"), w.digest, "digest", Better::None),
+                Row::flag(format!("{p}.deterministic"), w.deterministic, Better::None),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -419,30 +428,6 @@ mod tests {
         assert!(b.deterministic, "a workload failed to reproduce its digest");
         assert!(b.table_speedup_vs_scan > 0.0);
         assert!(b.factor_cache_speedup > 0.0);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(256);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"grid_points\"",
-            "\"table_speedup_vs_scan\"",
-            "\"batch_speedup_vs_single\"",
-            "\"factor_cache_speedup\"",
-            "\"quotes_per_sec\"",
-            "\"p50_micros\"",
-            "\"p99_micros\"",
-            "\"deterministic\"",
-            "\"pricing-table\"",
-            "\"factor-cache-on\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Tracing-overhead baseline for the quote-serving path
-//! (`BENCH_trace.json`).
+//! Tracing-overhead baseline for the quote-serving path ([`FILE`]).
 //!
 //! Measures what the mbp-obs causal-tracing layer costs on the
 //! zero-allocation serve path (`buy_listed_into`) against a
@@ -25,6 +24,7 @@
 //! `deterministic` asserts both runs produced identical digests (tracing
 //! never touches the pricing or noise streams).
 
+use crate::row::{Better, Row};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
 use mbp_core::market::{Broker, PurchaseRequest, Sale};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
@@ -32,6 +32,9 @@ use mbp_linalg::Vector;
 use mbp_ml::ModelKind;
 use mbp_randx::{seeded_rng, MbpRng};
 use std::time::Instant;
+
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_trace.json";
 
 /// Listing dimension for the committed baseline: large enough that noise
 /// sampling dominates each quote, small enough to stay on the serial
@@ -311,58 +314,57 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
 }
 
 impl TraceBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_trace.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"model_dim\": {},\n", self.model_dim));
-        out.push_str(&format!("  \"quotes\": {},\n", self.quotes));
-        out.push_str(&format!(
-            "  \"overhead_disabled\": {:.4},\n",
-            self.overhead_disabled
-        ));
-        out.push_str(&format!(
-            "  \"overhead_enabled\": {:.4},\n",
-            self.overhead_enabled
-        ));
-        out.push_str(&format!("  \"spans_recorded\": {},\n", self.spans_recorded));
-        out.push_str(&format!("  \"exemplars\": {},\n", self.exemplars));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"quotes\": {}, \"seconds\": {:.6}, \"quotes_per_sec\": {:.1}, \"digest\": {:.6}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.quotes,
-                w.seconds,
-                w.quotes_per_sec,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
+    /// The baseline as artifact rows (`BENCH_trace.json`). The overhead
+    /// rows carry the committed contract as ceilings: ≤ 2% disabled,
+    /// ≤ 10% enabled.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![
+            Row::exact("model_dim", self.model_dim as u64, "count"),
+            Row::exact("quotes", self.quotes as u64, "count"),
+            Row::num(
+                "overhead_disabled",
+                self.overhead_disabled,
+                "ratio",
+                Better::Lower,
+            )
+            .ceiling(0.02),
+            Row::num(
+                "overhead_enabled",
+                self.overhead_enabled,
+                "ratio",
+                Better::Lower,
+            )
+            .ceiling(0.10),
+            Row::exact("spans_recorded", self.spans_recorded, "count"),
+            Row::exact("exemplars", self.exemplars as u64, "count"),
+            Row::flag("deterministic", self.deterministic, Better::True),
+        ];
+        for w in &self.workloads {
+            let p = format!("workloads.{}", w.name);
+            rows.extend([
+                Row::exact(format!("{p}.quotes"), w.quotes as u64, "count"),
+                Row::num(format!("{p}.seconds"), w.seconds, "s", Better::None),
+                Row::num(
+                    format!("{p}.quotes_per_sec"),
+                    w.quotes_per_sec,
+                    "1/s",
+                    Better::None,
+                ),
+                Row::num(format!("{p}.digest"), w.digest, "digest", Better::None),
+                Row::flag(format!("{p}.deterministic"), w.deterministic, Better::None),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The runs flip process-global obs state; tests serialize on one lock.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn smoke_run_is_deterministic_and_traced() {
-        let _g = serial();
+        let _g = crate::obs_serial();
         let b = run_with_dim(256, 32);
         assert_eq!(b.workloads.len(), 4);
         assert!(b.workloads.iter().all(|w| w.quotes_per_sec > 0.0));
@@ -377,29 +379,5 @@ mod tests {
         // The broker workloads serve the same stream: identical digests.
         assert_eq!(b.workloads[1].digest, b.workloads[2].digest);
         assert_eq!(b.workloads[2].digest, b.workloads[3].digest);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let _g = serial();
-        let b = run_with_dim(256, 32);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"model_dim\"",
-            "\"overhead_disabled\"",
-            "\"overhead_enabled\"",
-            "\"spans_recorded\"",
-            "\"serve-floor\"",
-            "\"serve-obs-disabled\"",
-            "\"serve-obs-metrics\"",
-            "\"serve-traced\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        let parsed = crate::ratchet::parse_json(&json).expect("artifact parses");
-        assert!(parsed.get("overhead_enabled").is_some());
     }
 }

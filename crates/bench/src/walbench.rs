@@ -5,7 +5,7 @@
 //!
 //! * **append** — raw group-commit append throughput with no periodic
 //!   fsync (one explicit durability point at the end);
-//! * **fsync sweep** — the same stream at fsync intervals 1/8/64/512,
+//! * **fsync sweep** — the same stream at fsync intervals 64 and 512,
 //!   showing what each durability granularity costs;
 //! * **recovery** — scanning the segment back off disk and folding it
 //!   into a [`RecoveredState`], i.e. the `serve --wal` boot path.
@@ -16,16 +16,22 @@
 //! live market. The ratchet holds the committed artifact to a hard
 //! floor of 1.0 on that ratio. Recovery runs twice from the same bytes
 //! and must reproduce its state digest (`deterministic`). The `all`
-//! binary serializes the result to `BENCH_wal.json`.
+//! binary writes the result's rows to [`FILE`].
 
+use crate::row::{Better, Row};
 use mbp_randx::SeedStream;
 use mbp_wal::{recover_dir, RecoveredState, WalConfig, WalEvent, WalWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Fsync intervals exercised by the sweep (records between fsyncs).
-pub const FSYNC_INTERVALS: [usize; 4] = [1, 8, 64, 512];
+/// The artifact's file name.
+pub const FILE: &str = "BENCH_wal.json";
+
+/// Fsync intervals exercised by the sweep (records between fsyncs). The
+/// writer checks the interval only when a 64-record group commits, so any
+/// interval of 64 or less syncs once per group: 64 stands for all of them.
+pub const FSYNC_INTERVALS: [usize; 2] = [64, 512];
 
 /// One timed append workload.
 #[derive(Debug, Clone)]
@@ -227,43 +233,49 @@ pub fn run(records: usize) -> WalBaseline {
 }
 
 impl WalBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_wal.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"records\": {},\n", self.records));
-        out.push_str(&format!(
-            "  \"recovery_replay_speedup\": {:.4},\n",
-            self.recovery_replay_speedup
-        ));
-        out.push_str(&format!(
-            "  \"deterministic\": {},\n",
-            self.recovery.deterministic
-        ));
-        out.push_str(&format!(
-            "  \"recovery\": {{\"records\": {}, \"seconds\": {:.6}, \"records_per_sec\": {:.1}, \"digest\": {}, \"deterministic\": {}}},\n",
-            self.recovery.records,
-            self.recovery.seconds,
-            self.recovery.records_per_sec,
-            self.recovery.digest,
-            self.recovery.deterministic
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"fsync_interval\": {}, \"records\": {}, \"seconds\": {:.6}, \"records_per_sec\": {:.1}, \"syncs\": {}}}{}\n",
-                w.name,
-                w.fsync_interval,
-                w.records,
-                w.seconds,
-                w.records_per_sec,
-                w.syncs,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
+    /// The baseline as artifact rows (`BENCH_wal.json`).
+    pub fn rows(&self) -> Vec<Row> {
+        let r = &self.recovery;
+        let mut rows = vec![
+            Row::exact("records", self.records as u64, "count"),
+            Row::num(
+                "recovery_replay_speedup",
+                self.recovery_replay_speedup,
+                "x",
+                Better::Higher,
+            )
+            .floor(1.0),
+            Row::flag("deterministic", r.deterministic, Better::True),
+            Row::exact("recovery.records", r.records as u64, "count"),
+            Row::num("recovery.seconds", r.seconds, "s", Better::None),
+            Row::num(
+                "recovery.records_per_sec",
+                r.records_per_sec,
+                "1/s",
+                Better::Higher,
+            ),
+            Row::exact("recovery.digest", r.digest, "digest"),
+        ];
+        for w in &self.workloads {
+            let p = format!("workloads.{}", w.name);
+            rows.extend([
+                Row::exact(
+                    format!("{p}.fsync_interval"),
+                    w.fsync_interval as u64,
+                    "count",
+                ),
+                Row::exact(format!("{p}.records"), w.records as u64, "count"),
+                Row::num(format!("{p}.seconds"), w.seconds, "s", Better::None),
+                Row::num(
+                    format!("{p}.records_per_sec"),
+                    w.records_per_sec,
+                    "1/s",
+                    Better::Higher,
+                ),
+                Row::exact(format!("{p}.syncs"), w.syncs, "count"),
+            ]);
         }
-        out.push_str("  ]\n}\n");
-        out
+        rows
     }
 }
 
@@ -279,35 +291,10 @@ mod tests {
         assert!(b.recovery.deterministic, "recovery digest must reproduce");
         assert!(b.workloads.iter().all(|w| w.records_per_sec > 0.0));
         assert!(b.recovery.records_per_sec > 0.0);
-        // fsync@1 must issue at least one fsync per group; the no-fsync
-        // run issues exactly the one explicit durability point.
+        // fsync@64 syncs once per 64-record group; the no-fsync run
+        // issues exactly the one explicit durability point.
         assert!(b.workloads[0].syncs >= 1);
-        let per_record = b.workloads.iter().find(|w| w.name == "fsync@1").unwrap();
-        assert!(per_record.syncs > b.workloads[0].syncs);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(1_000);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"records\"",
-            "\"recovery_replay_speedup\"",
-            "\"deterministic\"",
-            "\"recovery\"",
-            "\"records_per_sec\"",
-            "\"fsync@512\"",
-            "\"append\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        let doc = crate::ratchet::parse_json(&json).expect("artifact parses");
-        assert_eq!(
-            doc.get("workloads")
-                .and_then(crate::ratchet::Json::as_arr)
-                .map(<[_]>::len),
-            Some(1 + FSYNC_INTERVALS.len())
-        );
+        let per_group = b.workloads.iter().find(|w| w.name == "fsync@64").unwrap();
+        assert!(per_group.syncs > b.workloads[0].syncs);
     }
 }

@@ -7,24 +7,30 @@
 //! run.
 
 use mbp_bench::netbench::{self, SWEEP_CONNS};
-use mbp_bench::ratchet::{parse_json, Json};
-use std::path::{Path, PathBuf};
+use mbp_bench::row::{parse_rows, Row, Value};
+use std::path::Path;
 
-fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve_net.json")
+fn committed_rows() -> Vec<Row> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve_net.json");
+    let text = std::fs::read_to_string(path).expect("committed BENCH_serve_net.json");
+    parse_rows(&text).expect("baseline parses")
 }
 
-/// Extracts every `"digest": <n>` value from the raw JSON text. The
-/// digests are full u64 values (above 2^53), so they must never round
-/// through the parser's f64 numbers.
-fn committed_digests(text: &str) -> Vec<u64> {
-    text.match_indices("\"digest\": ")
-        .map(|(i, pat)| {
-            let digits: String = text[i + pat.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().expect("digest is a u64")
+fn value(rows: &[Row], name: &str) -> Value {
+    rows.iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("committed baseline lacks row {name}"))
+        .value
+}
+
+/// The committed per-sweep-point digests. They are full u64 values
+/// (above 2^53), so the rows must hold them exactly, never as f64.
+fn committed_digests(rows: &[Row]) -> Vec<u64> {
+    SWEEP_CONNS
+        .iter()
+        .map(|c| match value(rows, &format!("sweep.{c}conns.digest")) {
+            Value::Exact(d) => d,
+            other => panic!("digest for {c} conns is not exact: {other:?}"),
         })
         .collect()
 }
@@ -34,40 +40,24 @@ fn committed_digests(text: &str) -> Vec<u64> {
 /// per-request path reproduced the batched digest.
 #[test]
 fn committed_netbench_baseline_claims_determinism() {
-    let text = std::fs::read_to_string(baseline_path()).expect("committed BENCH_serve_net.json");
-    let json = parse_json(&text).expect("baseline parses");
+    let rows = committed_rows();
     assert_eq!(
-        json.get("deterministic").and_then(Json::as_bool),
-        Some(true),
+        value(&rows, "deterministic"),
+        Value::Exact(1),
         "committed baseline must be deterministic"
     );
     assert_eq!(
-        json.get("per_request_matches_batched")
-            .and_then(Json::as_bool),
-        Some(true),
+        value(&rows, "per_request_matches_batched"),
+        Value::Exact(1),
         "batch admission must not change responses"
     );
-    let sweep = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .expect("sweep array");
-    assert_eq!(sweep.len(), SWEEP_CONNS.len());
-    for (point, conns) in sweep.iter().zip(SWEEP_CONNS) {
+    for c in SWEEP_CONNS {
         assert_eq!(
-            point.get("connections").and_then(Json::as_f64),
-            Some(conns as f64)
-        );
-        assert_eq!(
-            point.get("deterministic").and_then(Json::as_bool),
-            Some(true)
+            value(&rows, &format!("sweep.{c}conns.deterministic")),
+            Value::Exact(1)
         );
     }
-    let digests = committed_digests(&text);
-    assert_eq!(
-        digests.len(),
-        SWEEP_CONNS.len(),
-        "one digest per sweep point"
-    );
+    let digests = committed_digests(&rows);
     assert!(
         digests.iter().all(|&d| d != 0),
         "digests must be non-trivial"
@@ -79,15 +69,13 @@ fn committed_netbench_baseline_claims_determinism() {
 /// move with the machine; the bytes on the wire may not.
 #[test]
 fn live_netbench_digests_match_the_committed_baseline() {
-    let text = std::fs::read_to_string(baseline_path()).expect("committed BENCH_serve_net.json");
-    let json = parse_json(&text).expect("baseline parses");
-    let per_conn = json
-        .get("requests_per_conn")
-        .and_then(Json::as_f64)
-        .expect("requests_per_conn") as usize;
-    let committed = committed_digests(&text);
+    let rows = committed_rows();
+    let Value::Exact(per_conn) = value(&rows, "requests_per_conn") else {
+        panic!("requests_per_conn is not an exact count");
+    };
+    let committed = committed_digests(&rows);
 
-    let live = netbench::run(per_conn);
+    let live = netbench::run(per_conn as usize);
     assert!(
         live.deterministic,
         "live sweep must reproduce its own digests"
