@@ -41,9 +41,10 @@ fn bench_dp_vs_exact(c: &mut Criterion) {
 }
 
 fn bench_dp_scaling(c: &mut Criterion) {
-    // The DP alone scales to hundreds of points — show the quadratic curve.
+    // The DP alone scales to thousands of points — show the quadratic
+    // curve up to the serving daemon's 2048-point limit.
     let mut group = c.benchmark_group("revenue/dp_scaling");
-    for n in [10usize, 50, 100, 200, 400] {
+    for n in [10usize, 50, 100, 200, 400, 2048] {
         let pts = population(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
             b.iter(|| solve_bv_dp(black_box(pts)))
@@ -80,8 +81,8 @@ fn bench_interpolation(c: &mut Criterion) {
 }
 
 fn bench_fairness(c: &mut Criterion) {
-    // Ablation: the fairness-weighted DP costs the same O(n^2) as the
-    // plain one.
+    // Ablation: the fairness-weighted DP costs the same as the plain one:
+    // O(n^2) time, O(n) values plus n(n+1) bits.
     let pts = population(50);
     let mut group = c.benchmark_group("revenue/fairness_dp_n50");
     group.bench_function("lambda_0", |b| b.iter(|| solve_bv_dp(black_box(&pts))));

@@ -1,5 +1,5 @@
-//! Segment-lookup microbench: branchy `partition_point` vs the compiled
-//! [`SegmentIndex`] layouts.
+//! Kernel microbench: segment lookups (branchy `partition_point` vs the
+//! compiled [`SegmentIndex`] layouts) and the Theorem 10 DP.
 //!
 //! For each knot count (16 / 512 / 8192) the same query stream is resolved
 //! four ways:
@@ -16,13 +16,25 @@
 //! Before any timing, every query is cross-checked: both index layouts
 //! must return *exactly* `partition_point`'s answer (`consistent`). Each
 //! workload runs twice from identical state and must reproduce its digest
-//! (`deterministic`). The `all` binary writes the result's rows to
-//! [`FILE`]; the ratchet diffs per-layout throughput and the
-//! grid/eytzinger-vs-partition-point speedup ratios against the committed
-//! baseline.
+//! (`deterministic`).
+//!
+//! The DP section solves the Figure 9/10 buyer population (concave values,
+//! peaked demand) at each of [`DP_SIZES`] points [`DP_SOLVES`] times. It
+//! records the median solve time and a digest of the prices' and the
+//! objective's bits; every solve must reproduce the digest
+//! (`deterministic`).
+//!
+//! The `all` binary writes the result's rows to [`FILE`]; the ratchet diffs
+//! per-layout throughput, the grid/eytzinger-vs-partition-point speedup
+//! ratios and the DP solve times against the committed baseline.
 
 use crate::row::{Better, Row};
+use mbp_core::codec::{digest_bytes, DIGEST_SEED};
+use mbp_core::market::curves::{buyer_points, grid, DemandCurve, DemandShape};
+use mbp_core::market::curves::{ValueCurve, ValueShape};
+use mbp_core::revenue::{solve_bv_dp, BuyerPoint};
 use mbp_core::SegmentIndex;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The artifact's file name.
@@ -30,6 +42,12 @@ pub const FILE: &str = "BENCH_kernel.json";
 
 /// Knot counts exercised by the sweep.
 pub const SIZES: [usize; 3] = [16, 512, 8192];
+
+/// DP point counts: the daemon's 2048-point limit and one size either side.
+pub const DP_SIZES: [usize; 3] = [512, 2048, 4096];
+
+/// Solves per DP size; the recorded time is their median.
+pub const DP_SOLVES: usize = 5;
 
 /// One measured lookup workload.
 #[derive(Debug, Clone)]
@@ -59,7 +77,20 @@ pub struct KernelSpeedup {
     pub value: f64,
 }
 
-/// The full lookup-kernel baseline.
+/// One timed Theorem 10 DP size.
+#[derive(Debug, Clone)]
+pub struct DpWorkload {
+    /// Buyer points in the solved population.
+    pub points: usize,
+    /// Median wall milliseconds of the [`DP_SOLVES`] solves.
+    pub solve_ms: f64,
+    /// FNV-1a over the bits of the prices, then of the objective.
+    pub digest: u64,
+    /// Whether every solve reproduced `digest`.
+    pub deterministic: bool,
+}
+
+/// The full kernel baseline.
 #[derive(Debug, Clone)]
 pub struct KernelBaseline {
     /// Machine + commit + timestamp provenance stamp.
@@ -68,10 +99,12 @@ pub struct KernelBaseline {
     pub workloads: Vec<KernelWorkload>,
     /// Grid / Eytzinger speedups over `partition_point`, per knot count.
     pub speedups: Vec<KernelSpeedup>,
+    /// Theorem 10 DP solves, one per [`DP_SIZES`] entry.
+    pub dp: Vec<DpWorkload>,
     /// Both index layouts answered every query exactly like
     /// `partition_point` (checked outside the timed sections).
     pub consistent: bool,
-    /// Every workload reproduced its digest on the second run.
+    /// Every workload and every DP solve reproduced its digest.
     pub deterministic: bool,
 }
 
@@ -144,7 +177,44 @@ fn measure(
     }
 }
 
-/// Runs the full lookup sweep with `lookups` queries per workload.
+/// The Figure 9/10 buyer population at `n` points.
+fn dp_population(n: usize) -> Vec<BuyerPoint> {
+    buyer_points(
+        &grid(20.0, 100.0, n),
+        &ValueCurve::new(ValueShape::Concave { power: 2.5 }, 2.0, 100.0),
+        &DemandCurve::new(DemandShape::Peak {
+            center: 0.5,
+            width: 0.25,
+        }),
+    )
+    .expect("bench grid is valid")
+}
+
+/// Times [`DP_SOLVES`] solves of the `n`-point population.
+fn measure_dp(n: usize) -> DpWorkload {
+    let points = dp_population(n);
+    let mut ms = Vec::with_capacity(DP_SOLVES);
+    let mut digests = Vec::with_capacity(DP_SOLVES);
+    for _ in 0..DP_SOLVES {
+        let t0 = Instant::now();
+        let sol = black_box(solve_bv_dp(black_box(&points)));
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let prices = sol.pricing.prices().iter().fold(DIGEST_SEED, |h, z| {
+            digest_bytes(h, &z.to_bits().to_le_bytes())
+        });
+        digests.push(digest_bytes(prices, &sol.objective.to_bits().to_le_bytes()));
+    }
+    ms.sort_by(f64::total_cmp);
+    DpWorkload {
+        points: n,
+        solve_ms: ms[DP_SOLVES / 2],
+        digest: digests[0],
+        deterministic: digests.iter().all(|&d| d == digests[0]),
+    }
+}
+
+/// Runs the full lookup sweep with `lookups` queries per workload, then
+/// the DP section.
 pub fn run(lookups: usize) -> KernelBaseline {
     let _span = mbp_obs::span("mbp.bench.kernelbench");
     let lookups = lookups.max(1024);
@@ -204,11 +274,14 @@ pub fn run(lookups: usize) -> KernelBaseline {
         workloads.extend([pp_uniform, grid, pp_jittered, eytz]);
     }
 
-    let deterministic = workloads.iter().all(|w| w.deterministic);
+    let dp: Vec<DpWorkload> = DP_SIZES.into_iter().map(measure_dp).collect();
+    let deterministic =
+        workloads.iter().all(|w| w.deterministic) && dp.iter().all(|d| d.deterministic);
     KernelBaseline {
         meta: crate::RunMeta::from_env(),
         workloads,
         speedups,
+        dp,
         consistent,
         deterministic,
     }
@@ -245,6 +318,13 @@ impl KernelBaseline {
                 Row::flag(format!("{p}.deterministic"), w.deterministic, Better::None),
             ]);
         }
+        for d in &self.dp {
+            let p = format!("dp@{}", d.points);
+            rows.extend([
+                Row::num(format!("{p}.solve_ms"), d.solve_ms, "ms", Better::Lower),
+                Row::exact(format!("{p}.digest"), d.digest, "digest"),
+            ]);
+        }
         rows
     }
 }
@@ -258,6 +338,7 @@ mod tests {
         let b = run(2048);
         assert_eq!(b.workloads.len(), 4 * SIZES.len());
         assert_eq!(b.speedups.len(), 2 * SIZES.len());
+        assert_eq!(b.dp.len(), DP_SIZES.len());
         assert!(
             b.consistent,
             "an index layout diverged from partition_point"
@@ -265,5 +346,18 @@ mod tests {
         assert!(b.deterministic, "a workload failed to reproduce its digest");
         assert!(b.workloads.iter().all(|w| w.lookups_per_sec > 0.0));
         assert!(b.speedups.iter().all(|s| s.value > 0.0));
+        assert!(b.dp.iter().all(|d| d.solve_ms > 0.0));
+        // The DP's prices and objective are pinned bit for bit by the
+        // digests in the committed artifact.
+        let committed = crate::row::parse_rows(include_str!("../../../BENCH_kernel.json"))
+            .expect("committed artifact parses");
+        for d in &b.dp {
+            let name = format!("dp@{}.digest", d.points);
+            let row = committed
+                .iter()
+                .find(|r| r.name == name)
+                .unwrap_or_else(|| panic!("committed artifact lacks {name}"));
+            assert_eq!(row.value, crate::row::Value::Exact(d.digest), "{name}");
+        }
     }
 }

@@ -542,14 +542,14 @@ mod tests {
 
     /// Each ratchet section performs the same number of checks as the
     /// per-artifact comparators it replaced (wal lost the two duplicate
-    /// fsync sweep points).
+    /// fsync sweep points), plus kernel's three DP solve-time rows.
     #[test]
     fn check_counts_per_section_are_pinned() {
         let cfg = RatchetConfig::default();
         assert_eq!(compare(&trace(), None, &cfg).checks, 3);
         assert_eq!(self_compare(&serving()).checks, 14);
         assert_eq!(self_compare(&serve_net()).checks, 9);
-        assert_eq!(self_compare(&kernel()).checks, 20);
+        assert_eq!(self_compare(&kernel()).checks, 23);
         assert_eq!(self_compare(&wal()).checks, 7);
         assert_eq!(self_compare(&testkit()).checks, 6);
         assert_eq!(compare(&[], Some(&trace()), &cfg).checks, 3);

@@ -27,8 +27,9 @@
 //! * [`arbitrage`] — auditors that verify or *break* pricing functions,
 //!   including the model-averaging attack from the proof of Theorem 5;
 //! * [`revenue`] — the revenue-optimization toolbox of Section 5: the
-//!   `O(n²)` dynamic program (Theorem 10), LP/QP price interpolation,
-//!   the four naive baselines, and the exact exponential solver;
+//!   dynamic program of Theorem 10 (`O(n²)` time, `O(n)` f64 plus `n(n+1)`
+//!   bits of memory), LP/QP price interpolation, the four naive baselines,
+//!   and the exact exponential solver;
 //! * [`codec`] — the magic bytes, model-kind bytes, and FNV-1a digest
 //!   shared by the `mbp-serve` wire protocol and the `mbp-wal` log;
 //! * [`market`] — the three agents (seller, broker, buyer) and their

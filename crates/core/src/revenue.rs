@@ -10,8 +10,9 @@
 //!
 //! This module implements the full toolbox:
 //!
-//! * [`solve_bv_dp`] — the `O(n²)` dynamic program of Theorem 10 for the
-//!   buyer-valuation objective `T_bv` on the relaxed problem (4);
+//! * [`solve_bv_dp`] — the dynamic program of Theorem 10 (`O(n²)` time,
+//!   `O(n)` f64 plus `n(n+1)` bits of memory) for the buyer-valuation
+//!   objective `T_bv` on the relaxed problem (4);
 //! * [`solve_bv_exact`] — exact optimum of the *original* problem (2) via
 //!   the branch-and-bound solver (the paper's MILP baseline);
 //! * [`solve_pi_l2`] / [`solve_pi_l1`] — price interpolation under `T²_pi`
@@ -103,22 +104,13 @@ fn check_grid(a: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 10: O(n²) dynamic program for T_bv on the relaxed problem (4).
+// Theorem 10: dynamic program for T_bv on the relaxed problem (4), in O(n²)
+// time and O(n) f64 plus n(n+1) bits of memory.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Choice {
-    /// Case of Lemma 12: price pinned to the ratio cap, `z_k = Δ·a_k`.
-    RatioCap,
-    /// Lemma 13 first option: `z_k = v_k`, tightening Δ to `v_k/a_k`.
-    TakeValuation,
-    /// Lemma 13 second option: buyer `k` priced out
-    /// (`z_k = z_{k+1}·a_k/a_{k+1}`, contributing no revenue).
-    SkipBuyer,
-}
-
 /// Solves `max Σ b_j z_j·1[z_j ≤ v_j]` over the relaxed constraint set of
-/// problem (4) with the exact `O(n²)` dynamic program of Theorem 10.
+/// problem (4) with the exact dynamic program of Theorem 10: `O(n²)` time,
+/// `O(n)` f64 plus `n(n+1)` bits of memory.
 ///
 /// Requires valuations non-decreasing in `a` (the paper's standing
 /// assumption: buyers value accuracy monotonically). The returned prices
@@ -175,6 +167,15 @@ pub fn solve_bv_dp_fair(points: &[BuyerPoint], lambda: f64) -> RevenueSolution {
 
 /// Shared Theorem 10 DP with a per-served-buyer reward of
 /// `b_k·z_k + bonus_k` (plain revenue maximization uses `bonus = 0`).
+///
+/// Cell `(k, di)` holds the best reward of buyers `k..n` under the ratio cap
+/// `Δ = v_di/a_di` (`di = n` means `Δ = +∞`). Row `k` reads only row
+/// `k + 1`, so two rolling rows of values suffice. Reconstruction needs one
+/// bit per cell, Lemma 13's take-vs-skip choice: the Lemma 12 ratio-cap
+/// case is recomputed from `a_k`, `Δ` and `v_k` with the same float product
+/// the fill used. Every float operation happens in the order of the
+/// `n × (n+1)` table version, so prices and objectives are bit-identical to
+/// it.
 fn dp_weighted(points: &[BuyerPoint], bonus: &[f64]) -> RevenueSolution {
     let _span = mbp_obs::span("mbp.optim.revenue");
     let n = points.len();
@@ -195,66 +196,63 @@ fn dp_weighted(points: &[BuyerPoint], bonus: &[f64]) -> RevenueSolution {
             v[di] / a[di]
         }
     };
-    // value[k][di], choice[k][di].
-    let mut value = vec![vec![0.0_f64; n + 1]; n];
-    let mut choice = vec![vec![Choice::SkipBuyer; n + 1]; n];
-    for di in 0..=n {
+    // Lemma 12: the ratio cap binds below the valuation, `z_k = Δ·a_k`.
+    let ratio_cap = |k: usize, d: f64| d.is_finite() && a[k] * d <= v[k];
+    // Value rows k + 1 (`next`) and k (`cur`).
+    let mut next = vec![0.0_f64; n + 1];
+    let mut cur = vec![0.0_f64; n + 1];
+    // Bit `di` of row `k`'s words (from word `k·words`) is set when Lemma 13
+    // sells to buyer `k` at `v_k` under `Δ_di`.
+    let words = (n + 1).div_ceil(64);
+    let mut take = vec![0_u64; n * words];
+    for (di, cell) in next.iter_mut().enumerate() {
+        // At the last point the price is the smaller of the two caps.
         let d = delta(di);
         let s = if d.is_finite() {
             f64::min(v[n - 1], d * a[n - 1])
         } else {
             v[n - 1]
         };
-        value[n - 1][di] = b[n - 1] * s + bonus[n - 1];
-        // Choice at the last point is implicit (min of the two caps); mark
-        // it RatioCap when the ratio binds, TakeValuation otherwise.
-        choice[n - 1][di] = if d.is_finite() && d * a[n - 1] <= v[n - 1] {
-            Choice::RatioCap
-        } else {
-            Choice::TakeValuation
-        };
+        *cell = b[n - 1] * s + bonus[n - 1];
     }
     for k in (0..n.saturating_sub(1)).rev() {
+        // Lemma 13's first option reads the same cell in every column.
+        let opt1 = b[k] * v[k] + bonus[k] + next[k];
+        let take_k = &mut take[k * words..(k + 1) * words];
         for di in 0..=n {
             let d = delta(di);
-            if d.is_finite() && a[k] * d <= v[k] {
-                // Lemma 12: the ratio cap binds below the valuation.
-                value[k][di] = b[k] * d * a[k] + bonus[k] + value[k + 1][di];
-                choice[k][di] = Choice::RatioCap;
+            let opt2 = next[di];
+            cur[di] = if ratio_cap(k, d) {
+                b[k] * d * a[k] + bonus[k] + opt2
+            } else if opt1 >= opt2 {
+                // Lemma 13: sell at v_k, tightening Δ to v_k/a_k ...
+                take_k[di / 64] |= 1 << (di % 64);
+                opt1
             } else {
-                // Lemma 13: sell at v_k (tighten Δ) or price the buyer out.
-                let opt1 = b[k] * v[k] + bonus[k] + value[k + 1][k];
-                let opt2 = value[k + 1][di];
-                if opt1 >= opt2 {
-                    value[k][di] = opt1;
-                    choice[k][di] = Choice::TakeValuation;
-                } else {
-                    value[k][di] = opt2;
-                    choice[k][di] = Choice::SkipBuyer;
-                }
-            }
+                // ... or price the buyer out.
+                opt2
+            };
         }
+        std::mem::swap(&mut next, &mut cur);
     }
+    let best = next[n];
 
-    // Reconstruction: forward pass records the Δ path and choices; skipped
-    // buyers inherit `z_k = z_{k+1}·a_k/a_{k+1}` in a backward pass.
+    // Reconstruction: a forward pass follows the Δ path; skipped buyers
+    // inherit `z_k = z_{k+1}·a_k/a_{k+1}` in a backward pass.
     let mut z = vec![f64::NAN; n];
-    let mut pending_skip = Vec::new();
+    let mut pending_skip = Vec::with_capacity(n);
     let mut di = n;
     for k in 0..n {
-        match choice[k][di] {
-            Choice::RatioCap => {
-                z[k] = delta(di) * a[k];
-            }
-            Choice::TakeValuation => {
-                z[k] = v[k];
-                if k < n - 1 {
-                    di = k;
-                }
-            }
-            Choice::SkipBuyer => {
-                pending_skip.push(k);
-            }
+        let d = delta(di);
+        if ratio_cap(k, d) {
+            z[k] = d * a[k];
+        } else if k == n - 1 || take[k * words + di / 64] >> (di % 64) & 1 == 1 {
+            // Uncapped, the last point sells at its valuation (the min of
+            // the two caps); it has no take bit.
+            z[k] = v[k];
+            di = k;
+        } else {
+            pending_skip.push(k);
         }
     }
     for &k in pending_skip.iter().rev() {
@@ -277,21 +275,24 @@ fn dp_weighted(points: &[BuyerPoint], bonus: &[f64]) -> RevenueSolution {
         .map(|((_, _), &bo)| bo)
         .sum();
     debug_assert!(
-        (objective + served_bonus - value[0][n]).abs() < 1e-6 * (1.0 + value[0][n].abs()),
-        "reconstruction ({objective} + bonus {served_bonus}) disagrees with DP value ({})",
-        value[0][n]
+        (objective + served_bonus - best).abs() < 1e-6 * (1.0 + best.abs()),
+        "reconstruction ({objective} + bonus {served_bonus}) disagrees with DP value ({best})"
     );
     mbp_obs::gauge_set("mbp.optim.revenue.objective", objective);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Debug,
-        "mbp.optim.revenue",
-        "theorem-10 DP solved",
-        &[
-            ("n", n.to_string()),
-            ("objective", format!("{objective:.6}")),
-            ("priced_out", pending_skip.len().to_string()),
-        ],
-    );
+    // The fields are formatted only when recording, so a solve's allocation
+    // count does not depend on its objective's digits.
+    if mbp_obs::is_enabled() {
+        mbp_obs::event(
+            mbp_obs::Verbosity::Debug,
+            "mbp.optim.revenue",
+            "theorem-10 DP solved",
+            &[
+                ("n", n.to_string()),
+                ("objective", format!("{objective:.6}")),
+                ("priced_out", pending_skip.len().to_string()),
+            ],
+        );
+    }
     RevenueSolution {
         pricing: PricingFunction::from_points(a, z).expect("DP output is valid"),
         objective,
@@ -705,6 +706,7 @@ pub fn welfare(pf: &PricingFunction, points: &[BuyerPoint]) -> MarketWelfare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn figure5_points() -> Vec<BuyerPoint> {
         vec![
@@ -1117,6 +1119,188 @@ mod tests {
             assert!((w.revenue - r).abs() < 1e-9);
             assert!((w.buyer_surplus - s).abs() < 1e-9);
             assert!((w.affordability - aff).abs() < 1e-9);
+        }
+    }
+
+    /// The `n × (n+1)` table implementation of Theorem 10 that
+    /// [`dp_weighted`] replaced, kept verbatim as the bit-identity reference.
+    /// Returns the prices and their revenue.
+    fn dp_weighted_tables(points: &[BuyerPoint], bonus: &[f64]) -> (Vec<f64>, f64) {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Choice {
+            /// Case of Lemma 12: price pinned to the ratio cap, `z_k = Δ·a_k`.
+            RatioCap,
+            /// Lemma 13 first option: `z_k = v_k`, tightening Δ to `v_k/a_k`.
+            TakeValuation,
+            /// Lemma 13 second option: buyer `k` priced out
+            /// (`z_k = z_{k+1}·a_k/a_{k+1}`, contributing no revenue).
+            SkipBuyer,
+        }
+
+        let n = points.len();
+        let a: Vec<f64> = points.iter().map(|p| p.a).collect();
+        let v: Vec<f64> = points.iter().map(|p| p.valuation).collect();
+        let b: Vec<f64> = points.iter().map(|p| p.demand).collect();
+        let delta = |di: usize| -> f64 {
+            if di == n {
+                f64::INFINITY
+            } else {
+                v[di] / a[di]
+            }
+        };
+        let mut value = vec![vec![0.0_f64; n + 1]; n];
+        let mut choice = vec![vec![Choice::SkipBuyer; n + 1]; n];
+        for di in 0..=n {
+            let d = delta(di);
+            let s = if d.is_finite() {
+                f64::min(v[n - 1], d * a[n - 1])
+            } else {
+                v[n - 1]
+            };
+            value[n - 1][di] = b[n - 1] * s + bonus[n - 1];
+            choice[n - 1][di] = if d.is_finite() && d * a[n - 1] <= v[n - 1] {
+                Choice::RatioCap
+            } else {
+                Choice::TakeValuation
+            };
+        }
+        for k in (0..n.saturating_sub(1)).rev() {
+            for di in 0..=n {
+                let d = delta(di);
+                if d.is_finite() && a[k] * d <= v[k] {
+                    value[k][di] = b[k] * d * a[k] + bonus[k] + value[k + 1][di];
+                    choice[k][di] = Choice::RatioCap;
+                } else {
+                    let opt1 = b[k] * v[k] + bonus[k] + value[k + 1][k];
+                    let opt2 = value[k + 1][di];
+                    if opt1 >= opt2 {
+                        value[k][di] = opt1;
+                        choice[k][di] = Choice::TakeValuation;
+                    } else {
+                        value[k][di] = opt2;
+                        choice[k][di] = Choice::SkipBuyer;
+                    }
+                }
+            }
+        }
+        let mut z = vec![f64::NAN; n];
+        let mut pending_skip = Vec::new();
+        let mut di = n;
+        for k in 0..n {
+            match choice[k][di] {
+                Choice::RatioCap => {
+                    z[k] = delta(di) * a[k];
+                }
+                Choice::TakeValuation => {
+                    z[k] = v[k];
+                    if k < n - 1 {
+                        di = k;
+                    }
+                }
+                Choice::SkipBuyer => {
+                    pending_skip.push(k);
+                }
+            }
+        }
+        for &k in pending_skip.iter().rev() {
+            z[k] = z[k + 1] * a[k] / a[k + 1];
+        }
+        let objective = revenue_of_prices(&z, points);
+        (z, objective)
+    }
+
+    /// Raw bits of the prices and the objective, from `solve_bv_dp` and
+    /// from `solve_bv_dp_fair(λ)`.
+    type DpBits = [(Vec<u64>, u64); 2];
+
+    fn to_bits(z: &[f64], objective: f64) -> (Vec<u64>, u64) {
+        (z.iter().map(|x| x.to_bits()).collect(), objective.to_bits())
+    }
+
+    fn solved_bits(points: &[BuyerPoint], lambda: f64) -> DpBits {
+        [solve_bv_dp(points), solve_bv_dp_fair(points, lambda)]
+            .map(|sol| to_bits(sol.pricing.prices(), sol.objective))
+    }
+
+    fn reference_bits(points: &[BuyerPoint], lambda: f64) -> DpBits {
+        let zero = vec![0.0; points.len()];
+        let fair: Vec<f64> = points.iter().map(|p| lambda * p.demand).collect();
+        [zero, fair].map(|bonus| {
+            let (z, objective) = dp_weighted_tables(points, &bonus);
+            to_bits(&z, objective)
+        })
+    }
+
+    /// Random Theorem 10 instances of 1 to 200 points. A third of the
+    /// valuation steps are zero, so runs of equal valuations make
+    /// `opt1 == opt2` ties; another third are whole units. A quarter of the
+    /// points have zero demand.
+    fn dp_instance() -> impl Strategy<Value = Vec<BuyerPoint>> {
+        let point = (
+            0.01..3.0f64,
+            (0u32..3, 0.0..25.0f64),
+            (0u32..4, 0.05..2.0f64),
+        );
+        prop::collection::vec(point, 1..201).prop_map(|raw| {
+            let (mut a, mut v) = (0.0, 0.0);
+            raw.into_iter()
+                .map(|(gap, (step, dv), (zero, b))| {
+                    a += gap;
+                    v += [0.0, 1.0, dv][step as usize];
+                    BuyerPoint::new(a, v, if zero == 0 { 0.0 } else { b })
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn dp_matches_table_reference_bit_for_bit(pts in dp_instance(), lambda in 0.0..5.0f64) {
+            prop_assert_eq!(solved_bits(&pts, lambda), reference_bits(&pts, lambda));
+        }
+    }
+
+    #[test]
+    fn dp_matches_table_reference_on_fixed_instances() {
+        use crate::market::curves::{buyer_points, grid, DemandCurve, DemandShape};
+        use crate::market::curves::{ValueCurve, ValueShape};
+        // The Figure 9/10 population: concave values, peaked demand.
+        let concave = |n: usize| {
+            buyer_points(
+                &grid(20.0, 100.0, n),
+                &ValueCurve::new(ValueShape::Concave { power: 2.5 }, 2.0, 100.0),
+                &DemandCurve::new(DemandShape::Peak {
+                    center: 0.5,
+                    width: 0.25,
+                }),
+            )
+            .expect("valid grid")
+        };
+        // Runs of seven equal valuations; every fifth point has no demand.
+        let stepped = |n: usize| -> Vec<BuyerPoint> {
+            (0..n)
+                .map(|j| {
+                    let b = if j % 5 == 0 { 0.0 } else { 1.0 / n as f64 };
+                    BuyerPoint::new(1.0 + j as f64 * 0.01, 20.0 + 3.0 * (j / 7) as f64, b)
+                })
+                .collect()
+        };
+        let mut cases = vec![
+            vec![BuyerPoint::new(2.0, 30.0, 2.0)],
+            vec![BuyerPoint::new(2.0, 0.0, 0.0)],
+            figure5_points(),
+        ];
+        for n in [512, 2048] {
+            cases.push(concave(n));
+            cases.push(stepped(n));
+        }
+        for pts in &cases {
+            assert_eq!(
+                solved_bits(pts, 2.5),
+                reference_bits(pts, 2.5),
+                "n = {}",
+                pts.len()
+            );
         }
     }
 }

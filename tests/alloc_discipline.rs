@@ -1,4 +1,5 @@
-//! Allocation discipline for the quote-serving fast path.
+//! Allocation discipline for the quote-serving fast path and the
+//! Theorem 10 DP.
 //!
 //! The steady-state buy path — `Broker::buy_listed_into` with a reused
 //! [`Sale`] buffer, a pre-reserved ledger, and observability disabled —
@@ -7,23 +8,32 @@
 //! perturbs into the caller's buffer, and the ledger entry is plain `Copy`
 //! data pushed into reserved capacity.
 //!
+//! The Theorem 10 DP must run in linear memory: two rolling rows of values
+//! plus one take/skip bit per cell, a fixed number of allocations whatever
+//! the number of points.
+//!
 //! A counting `#[global_allocator]` (wrapping `System`) verifies this
-//! directly. The counter is toggled around the measured window so test
-//! harness bookkeeping doesn't pollute the count. CI runs this test in the
-//! `MBP_THREADS=1` job. The armed flag and counter are **thread-local**:
+//! directly. The counters are toggled around the measured window so test
+//! harness bookkeeping doesn't pollute them. CI runs this test in the
+//! `MBP_THREADS=1` job. The armed flag and counters are **thread-local**:
 //! libtest runs `#[test]` fns (and its own result-printing bookkeeping,
 //! which allocates) on concurrent threads, so a process-global flag would
 //! intermittently count a sibling thread's allocations inside a window.
 
 use mbp_core::error::SquareLossTransform;
+use mbp_core::market::curves::{buyer_points, grid, DemandCurve, DemandShape};
+use mbp_core::market::curves::{ValueCurve, ValueShape};
 use mbp_core::market::{Broker, PurchaseRequest, Sale};
 use mbp_core::pricing::PricingFunction;
+use mbp_core::revenue::solve_bv_dp;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
-/// Counts every `alloc`/`realloc` while armed; delegates to [`System`].
+/// Counts every `alloc`/`realloc` and tracks live heap bytes while armed;
+/// delegates to [`System`].
 struct CountingAlloc;
 
 thread_local! {
@@ -31,6 +41,29 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     /// Per-thread allocation count for the current armed window.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed since the window opened (negative
+    /// when the window frees memory allocated before it).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` reached in the window.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` bytes to the armed window's live total and raises its peak.
+/// `try_with` tolerates TLS teardown.
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+fn armed() -> bool {
+    ARMED.try_with(|a| a.get()).unwrap_or(false)
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every method delegates directly to [`System`], which upholds the
@@ -41,8 +74,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // thread-locals are const-initialized `Cell`s, so accessing them here
     // never allocates (no recursion); `try_with` tolerates TLS teardown.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.try_with(|a| a.get()).unwrap_or(false) {
-            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        if armed() {
+            count_allocation();
+            track(layout.size() as isize);
         }
         System.alloc(layout)
     }
@@ -50,14 +84,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`; the
     // caller guarantees they came from this allocator.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if armed() {
+            track(-(layout.size() as isize));
+        }
         System.dealloc(ptr, layout)
     }
 
     // SAFETY: forwards all arguments unchanged to `System.realloc`; the
     // caller guarantees `ptr`/`layout` describe a live allocation.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.try_with(|a| a.get()).unwrap_or(false) {
-            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        if armed() {
+            count_allocation();
+            track(new_size as isize - layout.size() as isize);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -66,14 +104,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the allocation counter armed and returns how many
-/// heap allocations it performed.
-fn count_allocations(f: impl FnOnce()) -> usize {
+/// Heap use of one armed window.
+struct HeapUse {
+    /// `alloc` plus `realloc` calls.
+    allocations: usize,
+    /// Peak live bytes above the window's start.
+    peak_bytes: isize,
+}
+
+/// Runs `f` with the counters armed and returns its heap use.
+fn measure_heap(f: impl FnOnce()) -> HeapUse {
     ALLOCATIONS.with(|c| c.set(0));
+    LIVE.with(|c| c.set(0));
+    PEAK.with(|c| c.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCATIONS.with(|c| c.get())
+    HeapUse {
+        allocations: ALLOCATIONS.with(|c| c.get()),
+        peak_bytes: PEAK.with(|c| c.get()),
+    }
 }
 
 #[test]
@@ -132,13 +182,14 @@ fn steady_state_buy_path_does_not_allocate() {
             .expect("warm-up buy failed");
     }
 
-    let allocations = count_allocations(|| {
+    let allocations = measure_heap(|| {
         for i in WARMUP..WARMUP + MEASURED {
             broker
                 .buy_listed_into(ModelKind::LinearRegression, request(i), &mut rng, &mut sale)
                 .expect("steady-state buy failed");
         }
-    });
+    })
+    .allocations;
     assert_eq!(
         allocations, 0,
         "steady-state buy_listed_into performed {allocations} heap allocations over {MEASURED} buys"
@@ -202,13 +253,14 @@ fn steady_state_batch_path_does_not_allocate() {
             .expect("warm-up batch failed");
     }
 
-    let allocations = count_allocations(|| {
+    let allocations = measure_heap(|| {
         for b in batches.iter().skip(WARMUP) {
             broker
                 .buy_batch_into(ModelKind::LinearRegression, b, &mut rng, &mut arena)
                 .expect("steady-state batch failed");
         }
-    });
+    })
+    .allocations;
     assert_eq!(
         allocations, 0,
         "steady-state buy_batch_into performed {allocations} heap allocations over {MEASURED} batches of {BATCH}"
@@ -219,4 +271,46 @@ fn steady_state_batch_path_does_not_allocate() {
     assert!(arena.results().all(|r| r.is_ok()));
     assert_eq!(broker.ledger().len(), (WARMUP + MEASURED) * BATCH);
     assert!(broker.total_revenue() > 0.0);
+}
+
+#[test]
+fn theorem10_dp_memory_is_linear() {
+    assert!(
+        !mbp_obs::is_enabled(),
+        "obs registry must be disabled for the allocation test"
+    );
+    // The Figure 9/10 population (concave values, peaked demand).
+    let population = |n: usize| {
+        buyer_points(
+            &grid(20.0, 100.0, n),
+            &ValueCurve::new(ValueShape::Concave { power: 2.5 }, 2.0, 100.0),
+            &DemandCurve::new(DemandShape::Peak {
+                center: 0.5,
+                width: 0.25,
+            }),
+        )
+        .expect("valid grid")
+    };
+    let solve = |n: usize| {
+        let points = population(n);
+        measure_heap(|| {
+            black_box(solve_bv_dp(black_box(&points)));
+        })
+    };
+    let small = solve(16);
+    let large = solve(2048);
+    // At 2048 points the take bits are 2048 rows of 33 words (0.54 MB);
+    // the two value rows and the per-point vectors add about 0.13 MB.
+    // The n × (n+1) tables this replaced peaked at 38 MB.
+    assert!(
+        large.peak_bytes < 1 << 20,
+        "a 2048-point solve peaked at {} bytes of live heap",
+        large.peak_bytes
+    );
+    assert!(
+        large.allocations <= small.allocations,
+        "allocations grow with n: {} at 2048 points, {} at 16",
+        large.allocations,
+        small.allocations
+    );
 }
