@@ -1,5 +1,5 @@
 //! Kernel microbench: segment lookups (branchy `partition_point` vs the
-//! compiled [`SegmentIndex`] layouts) and the Theorem 10 DP.
+//! compiled [`SegmentIndex`] layouts), batch pricing and the Theorem 10 DP.
 //!
 //! For each knot count (16 / 512 / 8192) the same query stream is resolved
 //! four ways:
@@ -18,6 +18,12 @@
 //! workload runs twice from identical state and must reproduce its digest
 //! (`deterministic`).
 //!
+//! The batch section prices [`BATCH_REQUESTS`] requests through
+//! [`price_at_batch`] in calls of each of [`BATCH_SIZES`] requests,
+//! against a compiled curve at each of [`SIZES`] knots, and records
+//! nanoseconds per request. Every batch answer must equal [`price_at`]
+//! bit for bit (`consistent`).
+//!
 //! The DP section solves the Figure 9/10 buyer population (concave values,
 //! peaked demand) at each of [`DP_SIZES`] points [`DP_SOLVES`] times. It
 //! records the median solve time and a digest of the prices' and the
@@ -26,12 +32,17 @@
 //!
 //! The `all` binary writes the result's rows to [`FILE`]; the ratchet diffs
 //! per-layout throughput, the grid/eytzinger-vs-partition-point speedup
-//! ratios and the DP solve times against the committed baseline.
+//! ratios and the DP solve times against the committed baseline; the batch
+//! rows are recorded, not gated.
+//!
+//! [`price_at_batch`]: mbp_core::pricing::PricingTable::price_at_batch
+//! [`price_at`]: mbp_core::pricing::PricingTable::price_at
 
 use crate::row::{Better, Row};
 use mbp_core::codec::{digest_bytes, DIGEST_SEED};
 use mbp_core::market::curves::{buyer_points, grid, DemandCurve, DemandShape};
 use mbp_core::market::curves::{ValueCurve, ValueShape};
+use mbp_core::pricing::{BatchScratch, PricingFunction};
 use mbp_core::revenue::{solve_bv_dp, BuyerPoint};
 use mbp_core::SegmentIndex;
 use std::hint::black_box;
@@ -42,6 +53,14 @@ pub const FILE: &str = "BENCH_kernel.json";
 
 /// Knot counts exercised by the sweep.
 pub const SIZES: [usize; 3] = [16, 512, 8192];
+
+/// Requests per [`price_at_batch`] call in the batch section.
+///
+/// [`price_at_batch`]: mbp_core::pricing::PricingTable::price_at_batch
+pub const BATCH_SIZES: [usize; 3] = [1, 8, 64];
+
+/// Requests priced per batch shape (a multiple of every batch size).
+pub const BATCH_REQUESTS: usize = 1 << 16;
 
 /// DP point counts: the daemon's 2048-point limit and one size either side.
 pub const DP_SIZES: [usize; 3] = [512, 2048, 4096];
@@ -77,6 +96,17 @@ pub struct KernelSpeedup {
     pub value: f64,
 }
 
+/// One timed batch-pricing shape.
+#[derive(Debug, Clone)]
+pub struct BatchWorkload {
+    /// Requests per call.
+    pub batch: usize,
+    /// Knots in the compiled curve.
+    pub knots: usize,
+    /// Wall nanoseconds per request for the faster of two passes.
+    pub ns_per_req: f64,
+}
+
 /// One timed Theorem 10 DP size.
 #[derive(Debug, Clone)]
 pub struct DpWorkload {
@@ -99,10 +129,13 @@ pub struct KernelBaseline {
     pub workloads: Vec<KernelWorkload>,
     /// Grid / Eytzinger speedups over `partition_point`, per knot count.
     pub speedups: Vec<KernelSpeedup>,
+    /// Batch pricing, one per ([`BATCH_SIZES`], [`SIZES`]) pair.
+    pub batches: Vec<BatchWorkload>,
     /// Theorem 10 DP solves, one per [`DP_SIZES`] entry.
     pub dp: Vec<DpWorkload>,
     /// Both index layouts answered every query exactly like
-    /// `partition_point` (checked outside the timed sections).
+    /// `partition_point`, and every batch priced each request bit for bit
+    /// like `price_at` (checked outside the timed sections).
     pub consistent: bool,
     /// Every workload and every DP solve reproduced its digest.
     pub deterministic: bool,
@@ -177,6 +210,46 @@ fn measure(
     }
 }
 
+/// Times batch pricing in calls of `batch` requests against a concave
+/// curve on `knots` uniform knots. Also returns whether every batch
+/// answer matched [`price_at`] bit for bit.
+///
+/// [`price_at`]: mbp_core::pricing::PricingTable::price_at
+fn measure_batch(batch: usize, knots: usize) -> (BatchWorkload, bool) {
+    let keys = uniform_keys(knots);
+    let prices = keys.iter().map(|x| 8.0 * x.sqrt()).collect();
+    let table = PricingFunction::from_points(keys.clone(), prices)
+        .expect("bench curve is valid")
+        .compile();
+    let xs = queries(&keys, BATCH_REQUESTS);
+    let mut scratch = BatchScratch::default();
+    let mut out = Vec::with_capacity(batch);
+    let mut exact = true;
+    for chunk in xs.chunks(batch) {
+        table.price_at_batch(chunk, &mut scratch, &mut out);
+        exact &= chunk.len() == out.len()
+            && chunk
+                .iter()
+                .zip(&out)
+                .all(|(&x, p)| p.to_bits() == table.price_at(x).to_bits());
+    }
+    let mut pass = || {
+        let t0 = Instant::now();
+        for chunk in xs.chunks(batch) {
+            table.price_at_batch(black_box(chunk), &mut scratch, &mut out);
+            black_box(&out);
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let seconds = pass().min(pass());
+    let workload = BatchWorkload {
+        batch,
+        knots,
+        ns_per_req: seconds * 1e9 / xs.len() as f64,
+    };
+    (workload, exact)
+}
+
 /// The Figure 9/10 buyer population at `n` points.
 fn dp_population(n: usize) -> Vec<BuyerPoint> {
     buyer_points(
@@ -214,7 +287,7 @@ fn measure_dp(n: usize) -> DpWorkload {
 }
 
 /// Runs the full lookup sweep with `lookups` queries per workload, then
-/// the DP section.
+/// the batch and DP sections.
 pub fn run(lookups: usize) -> KernelBaseline {
     let _span = mbp_obs::span("mbp.bench.kernelbench");
     let lookups = lookups.max(1024);
@@ -274,6 +347,15 @@ pub fn run(lookups: usize) -> KernelBaseline {
         workloads.extend([pp_uniform, grid, pp_jittered, eytz]);
     }
 
+    let mut batches = Vec::new();
+    for batch in BATCH_SIZES {
+        for n in SIZES {
+            let (w, exact) = measure_batch(batch, n);
+            consistent &= exact;
+            batches.push(w);
+        }
+    }
+
     let dp: Vec<DpWorkload> = DP_SIZES.into_iter().map(measure_dp).collect();
     let deterministic =
         workloads.iter().all(|w| w.deterministic) && dp.iter().all(|d| d.deterministic);
@@ -281,6 +363,7 @@ pub fn run(lookups: usize) -> KernelBaseline {
         meta: crate::RunMeta::from_env(),
         workloads,
         speedups,
+        batches,
         dp,
         consistent,
         deterministic,
@@ -325,6 +408,14 @@ impl KernelBaseline {
                 Row::exact(format!("{p}.digest"), d.digest, "digest"),
             ]);
         }
+        for b in &self.batches {
+            rows.push(Row::num(
+                format!("batch@{}x{}.ns_per_req", b.batch, b.knots),
+                b.ns_per_req,
+                "ns",
+                Better::None,
+            ));
+        }
         rows
     }
 }
@@ -338,14 +429,16 @@ mod tests {
         let b = run(2048);
         assert_eq!(b.workloads.len(), 4 * SIZES.len());
         assert_eq!(b.speedups.len(), 2 * SIZES.len());
+        assert_eq!(b.batches.len(), BATCH_SIZES.len() * SIZES.len());
         assert_eq!(b.dp.len(), DP_SIZES.len());
         assert!(
             b.consistent,
-            "an index layout diverged from partition_point"
+            "an index layout diverged from partition_point, or a batch from price_at"
         );
         assert!(b.deterministic, "a workload failed to reproduce its digest");
         assert!(b.workloads.iter().all(|w| w.lookups_per_sec > 0.0));
         assert!(b.speedups.iter().all(|s| s.value > 0.0));
+        assert!(b.batches.iter().all(|w| w.ns_per_req > 0.0));
         assert!(b.dp.iter().all(|d| d.solve_ms > 0.0));
         // The DP's prices and objective are pinned bit for bit by the
         // digests in the committed artifact.

@@ -12,14 +12,15 @@
 //!    latencies, throughputs — depends on the machine and gets
 //!    `p99_tolerance` (default 100%, a gross-regression guard,
 //!    `MBP_RATCHET_TOL`).
-//! 3. **Hard bounds.** A row's `floor` / `ceiling` binds the *committed*
-//!    value: smoke re-runs time these ratios too noisily for an exact
-//!    cutoff, and binding the committed artifact means a regression cannot
-//!    be laundered by regenerating a worse baseline — the regeneration
-//!    itself fails CI, while fresh runs stay inside the relative band.
+//! 3. **Hard bounds.** A committed row's `floor` / `ceiling` binds both
+//!    the committed value and the fresh one. Binding the committed
+//!    artifact means a regression cannot be laundered by regenerating a
+//!    worse baseline; binding the fresh run means a run under the floor
+//!    fails even when it sits inside the relative band.
 //! 4. **Trace budgets.** Fresh tracing overhead must stay under the fixed
 //!    [`TRACE_BUDGETS`]; the committed artifact carries the strict
-//!    2% / 10% contract as ceilings (rule 3).
+//!    2% / 10% contract as ceilings (rule 3). The fresh tracing run is
+//!    compared with no committed rows, so only the budgets bind it.
 //!
 //! A committed row missing from the fresh run fails. Artifacts are parsed
 //! with a small self-contained JSON reader (the workspace is
@@ -384,16 +385,7 @@ pub fn compare(committed: &[Row], fresh: Option<&[Row]>, cfg: &RatchetConfig) ->
     for base in committed {
         let name = &base.name;
         let value = base.value.as_f64();
-        if let Some(floor) = base.floor {
-            report.check(value >= floor, || {
-                format!("{name} below hard floor: committed {value:.4} < {floor:.4}")
-            });
-        }
-        if let Some(ceiling) = base.ceiling {
-            report.check(value <= ceiling, || {
-                format!("{name} above hard ceiling: committed {value:.4} > {ceiling:.4}")
-            });
-        }
+        check_hard_bounds(&mut report, base, "committed", value);
         if fresh.is_none() {
             continue;
         }
@@ -404,6 +396,7 @@ pub fn compare(committed: &[Row], fresh: Option<&[Row]>, cfg: &RatchetConfig) ->
             continue;
         };
         let now = now.value.as_f64();
+        check_hard_bounds(&mut report, base, "fresh", now);
         let tol = if base.unit == "x" {
             cfg.ratio_tolerance
         } else {
@@ -434,6 +427,22 @@ pub fn compare(committed: &[Row], fresh: Option<&[Row]>, cfg: &RatchetConfig) ->
         }
     }
     report
+}
+
+/// Rule 3: `value` (the `side` run's reading of `base`) against `base`'s
+/// hard floor and ceiling, one check each.
+fn check_hard_bounds(report: &mut RatchetReport, base: &Row, side: &str, value: f64) {
+    let name = &base.name;
+    if let Some(floor) = base.floor {
+        report.check(value >= floor, || {
+            format!("{name} below hard floor: {side} {value:.4} < {floor:.4}")
+        });
+    }
+    if let Some(ceiling) = base.ceiling {
+        report.check(value <= ceiling, || {
+            format!("{name} above hard ceiling: {side} {value:.4} > {ceiling:.4}")
+        });
+    }
 }
 
 #[cfg(test)]
@@ -542,15 +551,17 @@ mod tests {
 
     /// Each ratchet section performs the same number of checks as the
     /// per-artifact comparators it replaced (wal lost the two duplicate
-    /// fsync sweep points), plus kernel's three DP solve-time rows.
+    /// fsync sweep points), plus kernel's three DP solve-time rows, plus
+    /// one check of the fresh value per hard bound (serving has two
+    /// floors, serve-net and wal one each).
     #[test]
     fn check_counts_per_section_are_pinned() {
         let cfg = RatchetConfig::default();
         assert_eq!(compare(&trace(), None, &cfg).checks, 3);
-        assert_eq!(self_compare(&serving()).checks, 14);
-        assert_eq!(self_compare(&serve_net()).checks, 9);
+        assert_eq!(self_compare(&serving()).checks, 16);
+        assert_eq!(self_compare(&serve_net()).checks, 10);
         assert_eq!(self_compare(&kernel()).checks, 23);
-        assert_eq!(self_compare(&wal()).checks, 7);
+        assert_eq!(self_compare(&wal()).checks, 8);
         assert_eq!(self_compare(&testkit()).checks, 6);
         assert_eq!(compare(&[], Some(&trace()), &cfg).checks, 3);
     }
@@ -657,6 +668,45 @@ mod tests {
             "{}",
             report.render()
         );
+    }
+
+    /// A fresh value beyond a hard bound fails even when a loose band
+    /// forgives it: a fresh `batch_speedup_vs_single` of 2.19 against the
+    /// 3.0 floor, and a fresh overhead of 3% against a 2% ceiling.
+    #[test]
+    fn hard_bounds_bind_the_fresh_run() {
+        let loose = RatchetConfig {
+            ratio_tolerance: 0.5,
+            p99_tolerance: 5.0,
+        };
+        let rows = serving();
+        let under = doctored(&rows, "batch_speedup_vs_single", |r| {
+            r.value = Value::Num(2.19)
+        });
+        let report = compare(&rows, Some(&under), &loose);
+        assert_eq!(report.failures.len(), 1, "{}", report.render());
+        assert!(
+            fails_naming(
+                &report,
+                &["batch_speedup_vs_single", "hard floor", "fresh 2.19"]
+            ),
+            "{}",
+            report.render()
+        );
+        let at_floor = doctored(&rows, "batch_speedup_vs_single", |r| {
+            r.value = Value::Num(3.0)
+        });
+        let report = compare(&rows, Some(&at_floor), &loose);
+        assert!(report.pass(), "{}", report.render());
+
+        let base = vec![Row::num("overhead", 0.01, "ratio", Better::Lower).ceiling(0.02)];
+        let over = doctored(&base, "overhead", |r| r.value = Value::Num(0.03));
+        let report = compare(&base, Some(&over), &loose);
+        assert_eq!(report.failures.len(), 1, "{}", report.render());
+        assert!(fails_naming(
+            &report,
+            &["overhead", "hard ceiling", "fresh"]
+        ));
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl Sale {
 /// Reusable buffers for the purchase kernel ([`Broker::quote_batch_into`]).
 ///
 /// The arena owns one [`Sale`] slot per request position plus the
-/// resolve/price/binning scratch. Slots are grown (and their model
+/// per-request outcome, precision and price buffers. Slots are grown (and their model
 /// buffers cloned) only when a batch is larger than any seen before;
 /// after one warm-up batch at the steady-state size — and with ledger
 /// capacity reserved via [`Broker::reserve_ledger`] — repeat batches
@@ -192,7 +192,6 @@ pub struct SaleArena {
     outcomes: Vec<Result<f64, MarketError>>,
     xs: Vec<f64>,
     prices: Vec<f64>,
-    scratch: BatchScratch,
     len: usize,
 }
 
@@ -396,9 +395,8 @@ impl Listing {
     /// Passes 1–2 of the batch kernel into `arena`'s buffers: resolve every
     /// request to its NCP (consumes no RNG), recording the precision 1/δ of
     /// each, then price all precisions at once through
-    /// [`PricingTable::price_at_batch`] (requests binned by knot segment,
-    /// each segment's constants loaded once, results scattered back into
-    /// request order).
+    /// [`PricingTable::price_at_batch`] (one segment lookup and one
+    /// multiply-add per request, in request order).
     fn resolve_and_price(&self, requests: &[PurchaseRequest], arena: &mut SaleArena) {
         mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
         let pricing = PricePath::Table(&self.table);
@@ -413,7 +411,7 @@ impl Listing {
             arena.outcomes.push(r);
         }
         self.table
-            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
+            .price_at_batch(&arena.xs, &mut BatchScratch::default(), &mut arena.prices);
     }
 }
 
@@ -588,8 +586,9 @@ impl Broker {
     /// listing for `kind` into `arena`, leaving the ledger untouched.
     ///
     /// The listing, menu entry, and compiled table are resolved once. Pass
-    /// 1 resolves every request to its NCP (no RNG); pass 2 prices all
-    /// precisions through [`PricingTable::price_at_batch`]; pass 3 draws
+    /// 1 resolves every request to its NCP (no RNG); pass 2 prices each
+    /// precision from its own segment through
+    /// [`PricingTable::price_at_batch`]; pass 3 draws
     /// noise into the arena's resident [`Sale`] slots strictly in request
     /// order (rejected requests draw nothing). Prices, noise draws, and
     /// RNG consumption are therefore bit-identical to a sequential

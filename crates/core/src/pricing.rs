@@ -348,18 +348,6 @@ impl PricingTable {
         self.max_price
     }
 
-    /// Index of the last knot `≤ x`, answered by the compiled
-    /// [`SegmentIndex`] (grid arithmetic or Eytzinger descent — no
-    /// data-dependent branch either way). Interior callers guarantee
-    /// `x > knot_min`, so the upper bound is ≥ 1 and the subtraction
-    /// cannot wrap.
-    #[inline]
-    fn segment_index(&self, x: f64) -> usize {
-        self.knot_index
-            .upper_bound(&self.knots, x)
-            .saturating_sub(1)
-    }
-
     /// Table evaluation of `p̄(x)` with the same clamp semantics as
     /// [`PricingFunction::price_at`].
     #[inline]
@@ -392,9 +380,14 @@ impl PricingTable {
         if x <= self.knot_min {
             return self.ray_slope * x;
         }
-        // segment_index returns i < n-1 for interior x; the fallback is
-        // unreachable for the equal-length compiled vectors.
-        let i = self.segment_index(x);
+        // Index of the last knot `≤ x`, from the compiled SegmentIndex
+        // (grid arithmetic or Eytzinger descent, no data-dependent branch).
+        // Interior x > knot_min, so the upper bound is ≥ 1, and i < n-1;
+        // the fallback is unreachable for the equal-length compiled vectors.
+        let i = self
+            .knot_index
+            .upper_bound(&self.knots, x)
+            .saturating_sub(1);
         let (Some(&y0), Some(&m), Some(&k0)) =
             (self.prices.get(i), self.slopes.get(i), self.knots.get(i))
         else {
@@ -413,113 +406,16 @@ impl PricingTable {
         self.price_at(1.0 / delta)
     }
 
-    /// Evaluation class for precision `x`, mirroring the branch ladder of
-    /// [`PricingTable::price_at`] exactly: `0` = clamp to price 0 (NaN or
-    /// non-positive), `1` = saturation (single knot, or `x ≥ knot_max`),
-    /// `2` = origin ray (`x ≤ knot_min`), `3 + i` = interior segment `i`.
-    #[inline]
-    fn segment_class(&self, x: f64) -> u32 {
-        if x.is_nan() || x <= 0.0 {
-            return 0;
-        }
-        if self.knots.len() == 1 || x >= self.knot_max {
-            return 1;
-        }
-        if x <= self.knot_min {
-            return 2;
-        }
-        3 + self.segment_index(x) as u32
-    }
-
-    /// Bin-and-scatter batch evaluation of `p̄` over `xs`.
+    /// Batch evaluation of `p̄` over `xs`: `out[i]` is `self.price_at(xs[i])`
+    /// bit for bit, in request order. Each request is priced from its own
+    /// segment, so a call costs O(`xs.len()`) whatever the knot count.
     ///
-    /// Queries are binned by evaluation class (counting sort over an index
-    /// permutation), each bin is evaluated with its segment constants
-    /// `(k0, y0, m)` loaded once, and results are scattered back so
-    /// `out[i]` is exactly `self.price_at(xs[i])` — the same branch
-    /// ladder, the same operands, the same arithmetic, hence bit-identical
-    /// to the sequential loop, in the original request order.
-    ///
-    /// All buffers live in `scratch`/`out` and are reused across calls, so
-    /// a warmed-up caller performs no heap allocation.
-    pub fn price_at_batch(&self, xs: &[f64], scratch: &mut BatchScratch, out: &mut Vec<f64>) {
-        let n_classes = 3 + self.slopes.len();
-        scratch.class.clear();
-        scratch.class.reserve(xs.len());
-        scratch.starts.clear();
-        scratch.starts.resize(n_classes + 1, 0);
-        for &x in xs {
-            let c = self.segment_class(x);
-            scratch.class.push(c);
-            if let Some(tally) = scratch.starts.get_mut(c as usize + 1) {
-                *tally += 1;
-            }
-        }
-        // Exclusive prefix sum: starts[c] = first slot of class c's bin.
-        let mut acc = 0u32;
-        for slot in scratch.starts.iter_mut() {
-            acc += *slot;
-            *slot = acc;
-        }
-        // Permutation scatter: order[] lists request indices grouped by
-        // class, cursor[] tracks each bin's write position.
-        scratch.cursor.clear();
-        scratch.cursor.extend_from_slice(&scratch.starts);
-        scratch.order.clear();
-        scratch.order.resize(xs.len(), 0);
-        for (i, &c) in scratch.class.iter().enumerate() {
-            if let Some(pos) = scratch.cursor.get_mut(c as usize) {
-                let at = *pos as usize;
-                *pos += 1;
-                if let Some(slot) = scratch.order.get_mut(at) {
-                    *slot = i as u32;
-                }
-            }
-        }
+    /// `out` is cleared and refilled, so a caller that reuses an `out` with
+    /// room for `xs` performs no heap allocation. `scratch` is unused (see
+    /// [`BatchScratch`]).
+    pub fn price_at_batch(&self, xs: &[f64], _scratch: &mut BatchScratch, out: &mut Vec<f64>) {
         out.clear();
-        out.resize(xs.len(), 0.0);
-        // Class 0 (NaN / non-positive) is already 0.0. Classes 1 and 2 are
-        // register constants; interior bins load their segment once.
-        let bin = |c: usize| {
-            let (lo, hi) = (scratch.starts.get(c), scratch.starts.get(c + 1));
-            match (lo, hi) {
-                (Some(&lo), Some(&hi)) => {
-                    scratch.order.get(lo as usize..hi as usize).unwrap_or(&[])
-                }
-                _ => &[],
-            }
-        };
-        for &i in bin(1) {
-            if let Some(slot) = out.get_mut(i as usize) {
-                *slot = self.max_price;
-            }
-        }
-        for &i in bin(2) {
-            if let (Some(&x), Some(slot)) = (xs.get(i as usize), out.get_mut(i as usize)) {
-                *slot = self.ray_slope * x;
-            }
-        }
-        for (seg, ((&k0, &y0), &m)) in self
-            .knots
-            .iter()
-            .zip(self.prices.iter())
-            .zip(self.slopes.iter())
-            .enumerate()
-        {
-            for &i in bin(3 + seg) {
-                if let (Some(&x), Some(slot)) = (xs.get(i as usize), out.get_mut(i as usize)) {
-                    *slot = y0 + m * (x - k0);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        for (&x, &p) in xs.iter().zip(out.iter()) {
-            let direct = self.price_at(x);
-            debug_assert!(
-                p.to_bits() == direct.to_bits(),
-                "batch kernel diverged from price_at at x={x}: {p} vs {direct}"
-            );
-        }
+        out.extend(xs.iter().map(|&x| self.price_at(x)));
     }
 
     /// Budget inversion with the same semantics as
@@ -605,22 +501,12 @@ impl PricingTable {
     }
 }
 
-/// Reusable scratch buffers for [`PricingTable::price_at_batch`]: the
-/// per-request class tags, the counting-sort bin offsets and write
-/// cursors, and the index permutation. One instance per serving loop,
-/// reused across batches, so the steady state allocates nothing.
+/// The scratch argument of [`PricingTable::price_at_batch`]. It holds
+/// nothing: the kernel prices each request from its own segment and needs
+/// no buffers. The type and the parameter remain because the `mbpbench`
+/// harness names them.
 #[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Evaluation class per request.
-    class: Vec<u32>,
-    /// Exclusive prefix offsets: bin `c` occupies
-    /// `order[starts[c]..starts[c + 1]]`.
-    starts: Vec<u32>,
-    /// Per-bin write cursors (a working copy of `starts`).
-    cursor: Vec<u32>,
-    /// Request indices grouped by class (the scatter permutation).
-    order: Vec<u32>,
-}
+pub struct BatchScratch {}
 
 /// Memoized φ-inversion state for one `(pricing, transform)` pair: the
 /// numbers needed to answer [`ErrorPricedView::price_for_error`] without a

@@ -1,10 +1,11 @@
 //! Property-based tests for the pricing core: Proposition 1 evaluation,
-//! budget inversion, DP feasibility/optimality structure, and baseline
-//! well-behavedness on random instances.
+//! budget inversion, batch pricing, DP feasibility/optimality structure,
+//! and baseline well-behavedness on random instances.
 
 use mbp_core::arbitrage::audit;
 use mbp_core::error::{DeltaMethodTransform, ErrorTransform, SquareLossTransform};
-use mbp_core::pricing::{ErrorPricedView, PhiMemo, PricingFunction};
+use mbp_core::market::MAX_BATCH;
+use mbp_core::pricing::{BatchScratch, ErrorPricedView, PhiMemo, PricingFunction};
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp, Baseline, BuyerPoint};
 use mbp_core::SegmentIndex;
 use mbp_optim::isotonic::is_relaxed_feasible;
@@ -279,6 +280,86 @@ proptest! {
             prop_assert!(report.is_clean(), "{}: {:?}", b.name(), report);
             let a = affordability(&pf, &points);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&a));
+        }
+    }
+}
+
+/// Knot counts for the batch parity property: the single-knot constant
+/// curve, the smallest curve with a segment, and the kernel bench sizes.
+const BATCH_KNOTS: [usize; 5] = [1, 2, 16, 512, 8192];
+
+/// Batch sizes for the batch parity property, up to the kernel's cap.
+const BATCH_LENS: [usize; 5] = [0, 1, 8, 64, MAX_BATCH];
+
+/// `n` ascending knots from `x0`: uniform steps of `h` (the grid layout),
+/// or steps that cycle through 13 widths (the Eytzinger layout).
+fn batch_knots(n: usize, uniform: bool, x0: f64, h: f64) -> Vec<f64> {
+    let mut acc = x0;
+    (0..n)
+        .map(|i| {
+            if uniform {
+                x0 + i as f64 * h
+            } else {
+                acc += h * (0.2 + ((i * 37 + 11) % 13) as f64 * 0.3);
+                acc
+            }
+        })
+        .collect()
+}
+
+/// One precision of kind `kind` against `knots`, placed by `u ∈ [0, 1)`:
+/// NaN, non-positive, below the first knot, at or above the last, exactly
+/// on a knot, or strictly inside the knot range.
+fn batch_query(knots: &[f64], kind: u32, u: f64) -> f64 {
+    let (lo, hi) = (knots[0], knots[knots.len() - 1]);
+    match kind {
+        0 => f64::NAN,
+        1 => [0.0, -0.0, -1e3 * u, f64::NEG_INFINITY][(u * 4.0) as usize],
+        2 => lo * u,
+        3 => [hi, hi * (1.0 + 3.0 * u), f64::INFINITY][(u * 3.0) as usize],
+        4 => knots[(u * knots.len() as f64) as usize],
+        _ => lo + (hi - lo) * u,
+    }
+}
+
+proptest! {
+    /// `price_at_batch` answers every request exactly like `price_at`, bit
+    /// for bit and in request order, on both index layouts, from one knot
+    /// to 8192 and from an empty batch to `MAX_BATCH`. CI also runs it in
+    /// release with `PROPTEST_CASES=2000`.
+    #[test]
+    fn price_at_batch_matches_price_at_bit_for_bit(
+        (knot_pick, uniform, len_pick) in (0u32..5, 0u32..2, 0u32..5),
+        (x0, h, scale) in (0.01..10.0f64, 0.01..5.0f64, 0.1..100.0f64),
+        draws in prop::collection::vec((0u32..6, 0.0..1.0f64), MAX_BATCH),
+    ) {
+        let n = BATCH_KNOTS[knot_pick as usize];
+        let knots = batch_knots(n, uniform == 1, x0, h);
+        if n >= 3 {
+            prop_assert_eq!(SegmentIndex::new(&knots).is_grid(), uniform == 1);
+        }
+        // Non-monotone on purpose: the kernel must not assume a shape.
+        let prices = knots
+            .iter()
+            .enumerate()
+            .map(|(i, x)| scale * x.sqrt() + ((i * 7919) % 13) as f64)
+            .collect();
+        let table = PricingFunction::from_points(knots.clone(), prices).unwrap().compile();
+        let xs: Vec<f64> = draws
+            .iter()
+            .take(BATCH_LENS[len_pick as usize])
+            .map(|&(kind, u)| batch_query(&knots, kind, u))
+            .collect();
+        // A stale, longer `out` must be replaced, not appended to.
+        let mut out = vec![f64::NAN; MAX_BATCH + 1];
+        table.price_at_batch(&xs, &mut BatchScratch::default(), &mut out);
+        prop_assert_eq!(out.len(), xs.len());
+        for (i, (&x, &p)) in xs.iter().zip(&out).enumerate() {
+            let single = table.price_at(x);
+            prop_assert!(
+                p.to_bits() == single.to_bits(),
+                "request {i}: x = {x}: batch {p} vs price_at {single}"
+            );
         }
     }
 }

@@ -2,11 +2,13 @@
 //! encode → write, one cycle per scheduler turn.
 //!
 //! Each connection owns its buffers, its noise RNG (seeded by the client's
-//! `Hello` frame), and a [`SaleArena`], so a cycle allocates nothing in
-//! steady state. Batch admission happens in the dispatch phase: a run of
-//! consecutive buy (or quote) requests for the same listing is dispatched
-//! as *one* [`SharedBroker::buy_batch_into`] / `price_batch` call, turning
-//! network fan-in into the PR 7 batch kernel's cache-resident shape.
+//! `Hello` frame), and a [`SaleArena`], so a buy cycle allocates nothing in
+//! steady state. A quote cycle does allocate: `price_batch` builds a fresh
+//! arena and a fresh result vector for every batch. Batch admission
+//! happens in the dispatch phase: a run of consecutive buy (or quote)
+//! requests for the same listing is dispatched as *one*
+//! [`SharedBroker::buy_batch_into`] / `price_batch` call, turning network
+//! fan-in into one batch-kernel call.
 //! Because the kernel's RNG consumption depends only on request order —
 //! never on how the stream was chunked into batches — the responses a
 //! client sees are bit-identical no matter how its frames happened to

@@ -22,16 +22,19 @@
 //! — and on the read half of its own wake socket, until the earliest idle
 //! deadline (indefinitely without connections). The accept thread blocks
 //! in `poll(2)` on the listener and its own wake socket, and writes one
-//! byte to a worker's wake socket after handing that worker a stream.
+//! byte to a worker's wake socket after handing that worker a stream. The
+//! metrics thread likewise blocks in `poll(2)` on its listener and its
+//! own wake socket.
 //!
 //! Shutdown: SIGTERM (when [`ServerConfig::handle_sigterm`] is set), a
 //! client shutdown control frame, or [`ServerHandle::shutdown`] all flip
-//! one drain flag and wake every IO worker and the accept thread
-//! (`Control::drain`). A signal handler can take no lock, so SIGTERM
-//! writes one byte to a process-wide self-pipe that every SIGTERM-handling
-//! accept thread polls. The accept loop closes, every connection stops
-//! reading, serves what it already buffered, flushes, closes — then the
-//! IO loops exit and [`ServerHandle::wait`] returns the run's stats.
+//! one drain flag and wake every IO worker, the accept thread and the
+//! metrics thread (`Control::drain`). A signal handler can take no lock,
+//! so SIGTERM writes one byte to a process-wide self-pipe that every
+//! SIGTERM-handling accept thread polls. The accept loop closes, every
+//! connection stops reading, serves what it already buffered, flushes,
+//! closes — then the IO loops exit and [`ServerHandle::wait`] returns the
+//! run's stats.
 //!
 //! Unix only: the waits are `poll(2)` on raw fds.
 
@@ -98,6 +101,8 @@ struct Control {
     /// One per IO worker, indexed like the pool's IO loops.
     inboxes: Vec<Inbox>,
     accept_wake: Waker,
+    /// Present when the metrics side port is enabled.
+    metrics_wake: Option<Waker>,
 }
 
 /// Freshly accepted sockets for one IO worker, and the wake socket that
@@ -108,15 +113,19 @@ struct Inbox {
 }
 
 impl Control {
-    /// Sets the drain flag and wakes every IO worker and the accept
-    /// thread, so none of them sleeps through the drain. Every drain path
-    /// goes through here; waking a thread twice is harmless.
+    /// Sets the drain flag and wakes every IO worker, the accept thread
+    /// and the metrics thread, so none of them sleeps through the drain.
+    /// Every drain path goes through here; waking a thread twice is
+    /// harmless.
     fn drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         for inbox in &self.inboxes {
             inbox.wake.wake();
         }
         self.accept_wake.wake();
+        if let Some(wake) = &self.metrics_wake {
+            wake.wake();
+        }
     }
 
     fn is_draining(&self) -> bool {
@@ -372,12 +381,18 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
         worker_wakes.push(rx);
     }
     let (accept_rx, accept_wake) = wake_pair()?;
+    let (metrics_rx, metrics_wake) = metrics_listener
+        .as_ref()
+        .map(|_| wake_pair())
+        .transpose()?
+        .unzip();
     let control = Arc::new(Control {
         draining: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
         live_conns: AtomicU64::new(0),
         inboxes,
         accept_wake,
+        metrics_wake,
     });
 
     let pool = mbp_par::ThreadPool::new(io_threads);
@@ -405,11 +420,11 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
             .name("mbp-serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &accept_control, &accept_rx, sigterm_rx))?,
     );
-    if let Some(mlistener) = metrics_listener {
+    if let (Some(mlistener), Some(wake_rx)) = (metrics_listener, metrics_rx) {
         handle.metrics_thread = Some(
             std::thread::Builder::new()
                 .name("mbp-serve-metrics".to_string())
-                .spawn(move || metrics_loop(mlistener, &control))?,
+                .spawn(move || metrics_loop(&mlistener, &control, &wake_rx))?,
         );
     }
     Ok(handle)
@@ -453,25 +468,35 @@ fn accept_loop(
                 next = next.wrapping_add(1);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                let would_block = e.kind() == std::io::ErrorKind::WouldBlock;
-                let mut fds = [
-                    PollFd::new(wake_rx.as_raw_fd(), POLLIN),
-                    PollFd::new(sigterm_rx.unwrap_or(-1), POLLIN),
-                    PollFd::new(
-                        if would_block {
-                            listener.as_raw_fd()
-                        } else {
-                            -1
-                        },
-                        POLLIN,
-                    ),
-                ];
-                wait_ready(&mut fds, (!would_block).then_some(ACCEPT_ERROR_BACKOFF));
-                clear_wakes(wake_rx);
-            }
+            Err(e) => wait_to_accept(listener, wake_rx, sigterm_rx, &e),
         }
     }
+}
+
+/// Blocks after a failed `accept`: on WouldBlock until the listener is
+/// readable, on any other error for [`ACCEPT_ERROR_BACKOFF`]; either way
+/// the wake socket (and the SIGTERM self-pipe, if given) ends the wait.
+fn wait_to_accept(
+    listener: &TcpListener,
+    wake_rx: &UnixStream,
+    sigterm_rx: Option<RawFd>,
+    error: &std::io::Error,
+) {
+    let would_block = error.kind() == std::io::ErrorKind::WouldBlock;
+    let mut fds = [
+        PollFd::new(wake_rx.as_raw_fd(), POLLIN),
+        PollFd::new(sigterm_rx.unwrap_or(-1), POLLIN),
+        PollFd::new(
+            if would_block {
+                listener.as_raw_fd()
+            } else {
+                -1
+            },
+            POLLIN,
+        ),
+    ];
+    wait_ready(&mut fds, (!would_block).then_some(ACCEPT_ERROR_BACKOFF));
+    clear_wakes(wake_rx);
 }
 
 struct Tracked {
@@ -585,10 +610,12 @@ fn close_conn(control: &Control) {
 }
 
 /// Minimal HTTP responder for `GET /metrics`: one request per connection,
-/// Prometheus text exposition of the live `mbp-obs` snapshot.
-fn metrics_loop(listener: TcpListener, control: &Control) {
+/// Prometheus text exposition of the live `mbp-obs` snapshot. Between
+/// connections it blocks in `poll(2)` on the listener and `wake_rx`, which
+/// `Control::drain` writes.
+fn metrics_loop(listener: &TcpListener, control: &Control, wake_rx: &UnixStream) {
     loop {
-        if control.draining.load(Ordering::Relaxed) {
+        if control.is_draining() {
             return;
         }
         match listener.accept() {
@@ -621,10 +648,8 @@ fn metrics_loop(listener: TcpListener, control: &Control) {
                 };
                 let _ = stream.write_all(response.as_bytes());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => wait_to_accept(listener, wake_rx, None, &e),
         }
     }
 }

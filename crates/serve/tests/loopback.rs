@@ -567,6 +567,9 @@ fn metrics_side_port_serves_prometheus_text() {
     http.read_to_string(&mut other).expect("read");
     assert!(other.starts_with("HTTP/1.0 404"), "{other}");
 
+    // The metrics thread is blocked in poll(2) with no connection pending:
+    // only the drain's wake-up lets the join below finish.
+    std::thread::sleep(Duration::from_millis(50));
     handle.shutdown();
-    handle.wait();
+    within(Duration::from_secs(2), move || handle.wait());
 }

@@ -8,6 +8,10 @@
 //! perturbs into the caller's buffer, and the ledger entry is plain `Copy`
 //! data pushed into reserved capacity.
 //!
+//! Batch pricing (`PricingTable::price_at_batch`) must allocate nothing
+//! into a warm output buffer, even with a fresh `BatchScratch` on every
+//! call, as the quote path passes it.
+//!
 //! The Theorem 10 DP must run in linear memory: two rolling rows of values
 //! plus one take/skip bit per cell, a fixed number of allocations whatever
 //! the number of points.
@@ -24,7 +28,7 @@ use mbp_core::error::SquareLossTransform;
 use mbp_core::market::curves::{buyer_points, grid, DemandCurve, DemandShape};
 use mbp_core::market::curves::{ValueCurve, ValueShape};
 use mbp_core::market::{Broker, PurchaseRequest, Sale};
-use mbp_core::pricing::PricingFunction;
+use mbp_core::pricing::{BatchScratch, PricingFunction};
 use mbp_core::revenue::solve_bv_dp;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
@@ -225,8 +229,7 @@ fn steady_state_batch_path_does_not_allocate() {
         )
         .expect("listing accepted");
 
-    // Batches mix all three request kinds and sweep many knot segments, so
-    // the bin-and-scatter kernel exercises several bins per batch.
+    // Batches mix all three request kinds and sweep many knot segments.
     const BATCH: usize = 32;
     let request = |i: usize| match i % 3 {
         0 => PurchaseRequest::AtNcp(0.1 + (i % 29) as f64 * 0.05),
@@ -271,6 +274,42 @@ fn steady_state_batch_path_does_not_allocate() {
     assert!(arena.results().all(|r| r.is_ok()));
     assert_eq!(broker.ledger().len(), (WARMUP + MEASURED) * BATCH);
     assert!(broker.total_revenue() > 0.0);
+}
+
+#[test]
+fn batch_pricing_with_fresh_scratch_does_not_allocate() {
+    assert!(
+        !mbp_obs::is_enabled(),
+        "obs registry must be disabled for the allocation test"
+    );
+    // The quote workload's 512-point listing size.
+    let grid: Vec<f64> = (1..=512).map(|i| i as f64 * 0.5).collect();
+    let prices = grid.iter().map(|x| 8.0 * x.sqrt()).collect();
+    let table = PricingFunction::from_points(grid, prices)
+        .expect("arbitrage-free")
+        .compile();
+    // Precisions below, across and above the knots, plus clamped ones.
+    let mut xs: Vec<f64> = (0..64).map(|i| i as f64 * 4.1).collect();
+    xs.extend([f64::NAN, -1.0, f64::INFINITY]);
+    let mut out = Vec::with_capacity(xs.len());
+
+    let allocations = measure_heap(|| {
+        for len in [1, 8, 64, xs.len()] {
+            for batch in xs.chunks(len) {
+                table.price_at_batch(black_box(batch), &mut BatchScratch::default(), &mut out);
+            }
+        }
+    })
+    .allocations;
+    assert_eq!(
+        allocations, 0,
+        "price_at_batch performed {allocations} heap allocations into a warm output buffer"
+    );
+    assert_eq!(out.len(), xs.len());
+    assert!(xs
+        .iter()
+        .zip(&out)
+        .all(|(&x, p)| p.to_bits() == table.price_at(x).to_bits()));
 }
 
 #[test]
