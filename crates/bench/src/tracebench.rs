@@ -14,7 +14,9 @@
 //!   within the ≤2% budget.
 //! * **serve-obs-metrics** — observability enabled, tracing off: the
 //!   pre-tracing production configuration (counters, gauges, span
-//!   histograms).
+//!   histograms). `overhead_metrics` compares this against
+//!   `serve-obs-disabled`: what the metrics themselves cost. It is
+//!   recorded, not gated.
 //! * **serve-traced** — tracing on: span contexts, per-phase latency
 //!   attribution, and flight-recorder writes on every quote.
 //!   `overhead_enabled` compares this against `serve-obs-metrics` — the
@@ -73,6 +75,9 @@ pub struct TraceBaseline {
     /// against the uninstrumented floor (`serve-obs-disabled` vs
     /// `serve-floor`). Budget: ≤ 0.02.
     pub overhead_disabled: f64,
+    /// Relative cost of recording metrics, against the disabled path
+    /// (`serve-obs-metrics` vs `serve-obs-disabled`). Recorded, not gated.
+    pub overhead_metrics: f64,
     /// Marginal relative cost of turning tracing on, against the
     /// metrics-enabled path (`serve-traced` vs `serve-obs-metrics`).
     /// Budget: ≤ 0.10.
@@ -296,6 +301,7 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
         }
     };
     let overhead_disabled = rel(&obs_disabled, &floor);
+    let overhead_metrics = rel(&obs_metrics, &obs_disabled);
     let overhead_enabled = rel(&traced, &obs_metrics);
     let workloads = vec![floor, obs_disabled, obs_metrics, traced];
     let deterministic = workloads.iter().all(|w| w.deterministic);
@@ -306,6 +312,7 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
         quotes,
         workloads,
         overhead_disabled,
+        overhead_metrics,
         overhead_enabled,
         spans_recorded,
         exemplars,
@@ -316,7 +323,7 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
 impl TraceBaseline {
     /// The baseline as artifact rows (`BENCH_trace.json`). The overhead
     /// rows carry the committed contract as ceilings: ≤ 2% disabled,
-    /// ≤ 10% enabled.
+    /// ≤ 10% enabled; `overhead_metrics` is recorded ungated.
     pub fn rows(&self) -> Vec<Row> {
         let mut rows = vec![
             Row::exact("model_dim", self.model_dim as u64, "count"),
@@ -335,6 +342,12 @@ impl TraceBaseline {
                 Better::Lower,
             )
             .ceiling(0.10),
+            Row::num(
+                "overhead_metrics",
+                self.overhead_metrics,
+                "ratio",
+                Better::None,
+            ),
             Row::exact("spans_recorded", self.spans_recorded, "count"),
             Row::exact("exemplars", self.exemplars as u64, "count"),
             Row::flag("deterministic", self.deterministic, Better::True),

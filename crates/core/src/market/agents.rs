@@ -192,6 +192,8 @@ pub struct SaleArena {
     outcomes: Vec<Result<f64, MarketError>>,
     xs: Vec<f64>,
     prices: Vec<f64>,
+    /// Expected error per request; written by the quote path only.
+    errors: Vec<f64>,
     len: usize,
 }
 
@@ -234,6 +236,22 @@ impl SaleArena {
             })
     }
 
+    /// Per-request quotes of the most recent batch, in request order, when
+    /// that batch was a [`Broker::price_batch_into`] call (the buy kernel
+    /// does not compute expected errors).
+    pub fn quotes(&self) -> impl Iterator<Item = Result<PriceQuote, &MarketError>> {
+        let priced = self.prices.iter().zip(&self.errors);
+        self.outcomes.iter().take(self.len).zip(priced).map(
+            |(outcome, (&price, &expected_error))| {
+                outcome.as_ref().map(|&ncp| PriceQuote {
+                    ncp,
+                    price,
+                    expected_error,
+                })
+            },
+        )
+    }
+
     /// The ledger entries of the most recent batch's sales, in request
     /// order.
     pub(crate) fn transactions(&self, kind: ModelKind) -> impl Iterator<Item = Transaction> + '_ {
@@ -252,6 +270,24 @@ impl SaleArena {
             .zip(self.outcomes)
             .take(self.len)
             .map(|(sale, outcome)| outcome.map(|_| sale))
+            .collect()
+    }
+
+    /// Moves the most recent quote batch's outcomes out of the arena, in
+    /// request order.
+    fn into_quotes(self) -> Vec<Result<PriceQuote, MarketError>> {
+        let priced = self.prices.into_iter().zip(self.errors);
+        self.outcomes
+            .into_iter()
+            .take(self.len)
+            .zip(priced)
+            .map(|(outcome, (price, expected_error))| {
+                outcome.map(|ncp| PriceQuote {
+                    ncp,
+                    price,
+                    expected_error,
+                })
+            })
             .collect()
     }
 }
@@ -332,7 +368,8 @@ impl PriceErrorCurve {
 ///
 /// Every batch entry point — the kernel [`Broker::quote_batch_into`], its
 /// adaptors [`Broker::buy_batch_into`] and [`Broker::buy_batch`], the
-/// price-only [`Broker::price_batch`], and the `SharedBroker` wrappers —
+/// price-only [`Broker::price_batch_into`] and its [`Broker::price_batch`]
+/// adaptor, and the `SharedBroker` wrappers —
 /// rejects empty batches and batches larger than this cap with
 /// [`MarketError::BadRequest`] before resolving the listing. The cap bounds
 /// how much work a single caller can queue behind one shared read guard
@@ -697,32 +734,44 @@ impl Broker {
         Ok(arena.into_results())
     }
 
-    /// Prices a batch of requests without purchasing: the network quote
-    /// path. Passes 1–2 of the [`Broker::quote_batch_into`] kernel, but no
-    /// model is released, no RNG is consumed, and the ledger is untouched —
-    /// so a quote storm cannot perturb the noise stream of interleaved buys.
+    /// Prices a batch of requests into `arena` without purchasing: the
+    /// network quote path. Passes 1–2 of the [`Broker::quote_batch_into`]
+    /// kernel plus each quote's expected error, read back with
+    /// [`SaleArena::quotes`]. No model is released, no RNG is consumed, and
+    /// the ledger is untouched — so a quote storm cannot perturb the noise
+    /// stream of interleaved buys. After one warm-up batch at the
+    /// steady-state size, repeat batches perform no heap allocation.
+    pub fn price_batch_into(
+        &self,
+        kind: ModelKind,
+        requests: &[PurchaseRequest],
+        arena: &mut SaleArena,
+    ) -> Result<(), MarketError> {
+        check_batch(requests)?;
+        let _span = mbp_obs::span("mbp.core.price_batch");
+        let (listing, _) = self.listed(kind)?;
+        listing.resolve_and_price(requests, arena);
+        let transform = listing.transform.as_ref();
+        arena.errors.clear();
+        arena.errors.extend(arena.outcomes.iter().map(|outcome| {
+            outcome
+                .as_ref()
+                .map_or(f64::NAN, |&ncp| transform.expected_error(ncp))
+        }));
+        Ok(())
+    }
+
+    /// Owned quotes: [`Broker::price_batch_into`] on a fresh arena whose
+    /// outcomes are then moved out. Per-request failures are returned
+    /// inline, in request order.
     pub fn price_batch(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
-        check_batch(requests)?;
-        let _span = mbp_obs::span("mbp.core.price_batch");
-        let (listing, _) = self.listed(kind)?;
         let mut arena = SaleArena::new();
-        listing.resolve_and_price(requests, &mut arena);
-        Ok(arena
-            .outcomes
-            .into_iter()
-            .zip(arena.prices)
-            .map(|(r, price)| {
-                r.map(|ncp| PriceQuote {
-                    ncp,
-                    price,
-                    expected_error: listing.transform.expected_error(ncp),
-                })
-            })
-            .collect())
+        self.price_batch_into(kind, requests, &mut arena)?;
+        Ok(arena.into_quotes())
     }
 
     /// Pre-allocates ledger capacity for `additional` upcoming

@@ -20,8 +20,7 @@
 
 use crate::error::ErrorTransform;
 use crate::market::agents::{
-    kind_label, record_sales, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena,
-    Transaction,
+    kind_label, record_sales, Broker, MarketError, PurchaseRequest, Sale, SaleArena, Transaction,
 };
 use crate::market::durability::DurabilitySink;
 use crate::pricing::PricingFunction;
@@ -195,15 +194,16 @@ impl SharedBroker {
         Ok(())
     }
 
-    /// Thread-safe batched quote-only path (no purchase, no RNG, no
-    /// ledger): resolves and prices every request under a shared read
-    /// guard via [`Broker::price_batch`].
-    pub fn price_batch(
+    /// Zero-allocation thread-safe batched quote-only path (no purchase,
+    /// no RNG, no ledger): resolves and prices every request into `arena`
+    /// under a shared read guard via [`Broker::price_batch_into`].
+    pub fn price_batch_into(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
-    ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
-        self.read_core(kind).price_batch(kind, requests)
+        arena: &mut SaleArena,
+    ) -> Result<(), MarketError> {
+        self.read_core(kind).price_batch_into(kind, requests, arena)
     }
 
     /// Thread-safe scan-path purchase; each calling thread supplies its own

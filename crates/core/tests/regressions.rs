@@ -126,7 +126,8 @@ fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
 /// silent no-op) or queue an unbounded batch behind a single shared read
 /// guard. Both are now rejected up front as `BadRequest` by every batch
 /// entry point — the `quote_batch_into` kernel, its `buy_batch_into` and
-/// `buy_batch` adaptors, `price_batch`, and the `SharedBroker` wrappers —
+/// `buy_batch` adaptors, `price_batch_into` and its `price_batch` adaptor,
+/// and the `SharedBroker` wrappers —
 /// while batches of exactly `MAX_BATCH` requests still serve.
 #[test]
 fn regression_batch_entry_points_reject_empty_and_oversized_batches() {
@@ -172,6 +173,10 @@ fn regression_batch_entry_points_reject_empty_and_oversized_batches() {
         assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
         let err = broker.price_batch(kind, requests).unwrap_err();
         assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
+        let err = broker
+            .price_batch_into(kind, requests, &mut arena)
+            .unwrap_err();
+        assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
     }
     assert_eq!(
         rng_probe(&mut rng),
@@ -191,7 +196,9 @@ fn regression_batch_entry_points_reject_empty_and_oversized_batches() {
             .buy_batch_into(kind, requests, &mut rng, &mut arena)
             .unwrap_err();
         assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
-        let err = shared.price_batch(kind, requests).unwrap_err();
+        let err = shared
+            .price_batch_into(kind, requests, &mut arena)
+            .unwrap_err();
         assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
     }
     assert_eq!(shared.sales_count(), 0);

@@ -13,6 +13,9 @@
 //! Everything is off by default. [`enable`] flips a single atomic flag; when
 //! disabled, every recording call returns after one relaxed atomic load, so
 //! instrumented hot paths (e.g. `Broker::buy`) pay no measurable cost.
+//! When enabled, a call finds its metric through a per-thread handle cache
+//! keyed by name, so a steady-state record takes no lock and allocates
+//! nothing; [`reset`] invalidates every thread's cache.
 //!
 //! Metric names follow `mbp.<crate>.<unit>`, e.g. `mbp.core.buy.count`,
 //! `mbp.core.buy.seconds`, `mbp.optim.revenue.iterations`. Exporters live in
@@ -99,7 +102,7 @@ pub fn is_tracing() -> bool {
 #[inline]
 pub fn inc(name: &str) {
     if is_enabled() {
-        registry::counter(name).add(1);
+        registry::counter_add(name, 1);
     }
 }
 
@@ -107,7 +110,7 @@ pub fn inc(name: &str) {
 #[inline]
 pub fn counter_add(name: &str, n: u64) {
     if is_enabled() {
-        registry::counter(name).add(n);
+        registry::counter_add(name, n);
     }
 }
 
@@ -115,7 +118,7 @@ pub fn counter_add(name: &str, n: u64) {
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
     if is_enabled() {
-        registry::gauge(name).set(v);
+        registry::gauge_set(name, v);
     }
 }
 
@@ -123,7 +126,7 @@ pub fn gauge_set(name: &str, v: f64) {
 #[inline]
 pub fn gauge_add(name: &str, d: f64) {
     if is_enabled() {
-        registry::gauge(name).add(d);
+        registry::gauge_add(name, d);
     }
 }
 
@@ -132,7 +135,7 @@ pub fn gauge_add(name: &str, d: f64) {
 #[inline]
 pub fn observe(name: &str, v: f64) {
     if is_enabled() {
-        registry::histogram(name).observe(v);
+        registry::observe(name, v);
     }
 }
 

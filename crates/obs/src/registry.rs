@@ -1,10 +1,15 @@
 //! The global metrics registry: counters, gauges, and log-bucketed
 //! histograms, all updated with relaxed atomics behind a read-mostly map.
+//! Recording calls reach a metric through per-thread handle caches, so
+//! the map and its lock are touched only on a thread's first use of a
+//! name and after a [`reset`].
 
 use parking_lot::RwLock;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::LocalKey;
 
 /// Total histogram buckets: one underflow, 48 log-spaced (four per decade
 /// across 1e-9 .. 1e3), one overflow.
@@ -71,7 +76,6 @@ impl Gauge {
 
 pub(crate) struct Histogram {
     counts: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
@@ -81,7 +85,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
@@ -127,7 +130,6 @@ impl Histogram {
         if let Some(slot) = self.counts.get(bucket_index(v)) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
         cas_f64(&self.sum_bits, |s| s + v);
         cas_f64(&self.min_bits, |m| m.min(v));
         cas_f64(&self.max_bits, |m| m.max(v));
@@ -156,10 +158,16 @@ impl Histogram {
     }
 }
 
+/// Replaces the value with `f(value)`. Skips the write when `f` leaves
+/// the bits as they are — the common case for a running min or max — so
+/// a steady-state observe pays plain loads instead of read-modify-writes.
 fn cas_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = bits.load(Ordering::Relaxed);
     loop {
         let next = f(f64::from_bits(cur)).to_bits();
+        if next == cur {
+            return;
+        }
         match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return,
             Err(seen) => cur = seen,
@@ -310,7 +318,7 @@ fn registry() -> &'static RwLock<Inner> {
 
 macro_rules! getter {
     ($fn_name:ident, $field:ident, $ty:ty) => {
-        pub(crate) fn $fn_name(name: &str) -> Arc<$ty> {
+        fn $fn_name(name: &str) -> Arc<$ty> {
             if let Some(m) = registry().read().$field.get(name) {
                 return m.clone();
             }
@@ -327,6 +335,144 @@ macro_rules! getter {
 getter!(counter, counters, Counter);
 getter!(gauge, gauges, Gauge);
 getter!(histogram, histograms, Histogram);
+
+/// The histogram `<span>.seconds` that a span named `span` records into.
+fn span_histogram(span: &str) -> Arc<Histogram> {
+    histogram(&format!("{span}.seconds"))
+}
+
+/// Bumped by every [`reset`] once the maps are cleared. A reset detaches
+/// every handle resolved before it, so the per-thread caches (the metric
+/// handles below, `trace.rs`'s labeled series) tag what they hold with
+/// the epoch they resolved it in and drop it when the epoch moves.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// The current reset epoch. Load it *before* resolving a handle: a handle
+/// resolved from the pre-reset maps is then tagged with the pre-reset
+/// epoch, and the next access re-resolves it.
+pub(crate) fn epoch() -> u64 {
+    EPOCH.load(Ordering::Relaxed)
+}
+
+/// Slots in each per-thread handle cache, a power of two. The workspace
+/// records under 100 distinct names, all string literals; a name may sit
+/// in any of [`PROBES`] consecutive slots from its home slot, so at this
+/// load a hot name is practically never evicted (an eviction costs the
+/// next record a registry lookup and a copy of the name).
+const CACHE_SLOTS: usize = 256;
+const PROBES: usize = 8;
+
+struct Slot<T> {
+    name: Box<str>,
+    handle: Arc<T>,
+}
+
+/// One thread's resolved handles for one metric kind. A name's home slot
+/// is chosen by its address, which is stable for the string literals
+/// that name nearly every metric, but a hit requires equal *content*: a
+/// heap name freed and reused at the same address with other text misses
+/// and resolves afresh, while equal names at different addresses resolve
+/// to the one registry entry for that text.
+struct HandleCache<T> {
+    epoch: u64,
+    slots: [Option<Slot<T>>; CACHE_SLOTS],
+}
+
+impl<T> HandleCache<T> {
+    const fn new() -> Self {
+        HandleCache {
+            epoch: 0,
+            slots: [const { None }; CACHE_SLOTS],
+        }
+    }
+
+    /// The handle for `name`, resolved through `resolve` on a miss (which
+    /// takes the registry lock and allocates the slot's copy of the
+    /// name). `None` only if the chosen slot vanished, which the fixed
+    /// slot count rules out; callers then record uncached.
+    fn get(&mut self, name: &str, resolve: fn(&str) -> Arc<T>) -> Option<&T> {
+        let epoch = epoch();
+        if self.epoch != epoch {
+            self.slots.fill_with(|| None);
+            self.epoch = epoch;
+        }
+        // Fibonacci hashing of the address: the top bits pick the slot.
+        let addr = name.as_ptr() as u64 ^ name.len() as u64;
+        let home = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_SLOTS.trailing_zeros()))
+            as usize;
+        let probes = (0..PROBES).map(|i| (home + i) % CACHE_SLOTS);
+        let held = |i: &usize| match self.slots.get(*i) {
+            Some(Some(slot)) => *slot.name == *name,
+            _ => false,
+        };
+        let idx = match probes.clone().find(held) {
+            Some(i) => i,
+            None => {
+                // A full window evicts the home slot's name.
+                let victim = probes
+                    .clone()
+                    .find(|&i| matches!(self.slots.get(i), Some(None)))
+                    .unwrap_or(home);
+                let slot = self.slots.get_mut(victim)?;
+                *slot = Some(Slot {
+                    name: Box::from(name),
+                    handle: resolve(name),
+                });
+                victim
+            }
+        };
+        self.slots.get(idx)?.as_ref().map(|slot| &*slot.handle)
+    }
+}
+
+thread_local! {
+    static COUNTERS: RefCell<HandleCache<Counter>> = const { RefCell::new(HandleCache::new()) };
+    static GAUGES: RefCell<HandleCache<Gauge>> = const { RefCell::new(HandleCache::new()) };
+    static HISTOGRAMS: RefCell<HandleCache<Histogram>> =
+        const { RefCell::new(HandleCache::new()) };
+    /// Keyed by span name; each resolves to the span's `<name>.seconds`.
+    static SPAN_HISTOGRAMS: RefCell<HandleCache<Histogram>> =
+        const { RefCell::new(HandleCache::new()) };
+}
+
+/// Applies `op` to `name`'s handle from this thread's `cache`. Falls back
+/// to an uncached resolve while the cache is borrowed (a re-entrant
+/// record) or torn down (a record from a thread-local destructor).
+fn record<T>(
+    cache: &'static LocalKey<RefCell<HandleCache<T>>>,
+    name: &str,
+    resolve: fn(&str) -> Arc<T>,
+    op: impl Fn(&T),
+) {
+    let cached = cache.try_with(|c| match c.try_borrow_mut() {
+        Ok(mut c) => c.get(name, resolve).map(&op).is_some(),
+        Err(_) => false,
+    });
+    if !matches!(cached, Ok(true)) {
+        op(&resolve(name));
+    }
+}
+
+pub(crate) fn counter_add(name: &str, n: u64) {
+    record(&COUNTERS, name, counter, |c| c.add(n));
+}
+
+pub(crate) fn gauge_set(name: &str, v: f64) {
+    record(&GAUGES, name, gauge, |g| g.set(v));
+}
+
+pub(crate) fn gauge_add(name: &str, d: f64) {
+    record(&GAUGES, name, gauge, |g| g.add(d));
+}
+
+pub(crate) fn observe(name: &str, v: f64) {
+    record(&HISTOGRAMS, name, histogram, |h| h.observe(v));
+}
+
+/// Records `secs` into the `<span>.seconds` histogram.
+pub(crate) fn observe_span(span: &str, secs: f64) {
+    record(&SPAN_HISTOGRAMS, span, span_histogram, |h| h.observe(secs));
+}
 
 /// Handle to the labeled histogram series `name{labels}`. Callers are
 /// expected to cache the returned `Arc` (the trace layer resolves a series
@@ -400,6 +546,7 @@ pub(crate) fn reset() {
     inner.gauges.clear();
     inner.histograms.clear();
     inner.labeled.clear();
+    EPOCH.fetch_add(1, Ordering::SeqCst);
 }
 
 #[cfg(test)]
@@ -532,6 +679,92 @@ mod tests {
             .expect("series l0");
         assert_eq!(s.hist.count, 2);
         reset();
+    }
+
+    /// One call site whose names this thread caches.
+    fn record_at_call_site(v: u64) {
+        crate::counter_add("mbp.test.cache.count", v);
+        crate::observe("mbp.test.cache.value", v as f64);
+        let _span = crate::span("mbp.test.cache.span");
+    }
+
+    #[test]
+    fn reset_invalidates_cached_handles_on_every_thread() {
+        let _g = crate::test_support::serial();
+        crate::reset();
+        crate::enable();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                record_at_call_site(100);
+                barrier.wait(); // both threads hold cached handles
+                barrier.wait(); // the registry was reset
+                record_at_call_site(2);
+            });
+            record_at_call_site(100);
+            barrier.wait();
+            crate::reset();
+            barrier.wait();
+            record_at_call_site(1);
+        });
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter("mbp.test.cache.count"), Some(3));
+        let value = snap.histogram("mbp.test.cache.value").expect("histogram");
+        assert_eq!((value.count, value.sum, value.max), (2, 3.0, 2.0));
+        let span = snap.histogram("mbp.test.cache.span.seconds").expect("span");
+        assert_eq!(span.count, 2);
+        crate::disable();
+        crate::reset();
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_metric() {
+        let _g = crate::test_support::serial();
+        crate::reset();
+        crate::enable();
+        let a = String::from("mbp.test.cache.heap");
+        let b = a.clone();
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        crate::inc(&a);
+        crate::inc(&b);
+        crate::counter_add(&a, 3);
+        // Far more names than cache slots: evicted names re-resolve to
+        // the metric they already had.
+        let many: Vec<String> = (0..3 * CACHE_SLOTS)
+            .map(|i| format!("mbp.test.cache.n{i}"))
+            .collect();
+        for _ in 0..2 {
+            many.iter().for_each(|n| crate::inc(n));
+        }
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter("mbp.test.cache.heap"), Some(5));
+        assert_eq!(snap.counters.len(), 1 + many.len());
+        assert!(many.iter().all(|n| snap.counter(n) == Some(2)));
+        crate::disable();
+        crate::reset();
+    }
+
+    #[test]
+    fn a_reused_address_with_new_content_does_not_alias() {
+        let _g = crate::test_support::serial();
+        crate::reset();
+        crate::enable();
+        // Rewriting the buffer in place gives the same address and length
+        // with other text, as a freed name whose block the allocator hands
+        // to the next name would.
+        let mut name = String::from("mbp.test.cache.aaaa");
+        let addr = name.as_ptr();
+        crate::inc(&name);
+        name.clear();
+        name.push_str("mbp.test.cache.bbbb");
+        assert_eq!(name.as_ptr(), addr);
+        crate::inc(&name);
+        crate::inc(&name);
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter("mbp.test.cache.aaaa"), Some(1));
+        assert_eq!(snap.counter("mbp.test.cache.bbbb"), Some(2));
+        crate::disable();
+        crate::reset();
     }
 
     #[test]

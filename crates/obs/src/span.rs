@@ -1,8 +1,11 @@
 //! RAII span timers. A [`span`] measures wall time from creation to drop,
 //! recording it into the histogram `<name>.seconds`. Spans nest: each
-//! thread keeps a stack of open span names, and every span drop emits a
-//! `Trace`-level event carrying its full `parent>child` path, so draining
-//! events at `--trace` reconstructs the trace tree.
+//! thread keeps a stack of open span names, and at `Trace` verbosity every
+//! span drop emits an event carrying its full `parent>child` path, so
+//! draining events at `--trace` reconstructs the trace tree. Below
+//! `Trace` that event would be discarded, so a drop builds neither the
+//! path nor the duration text: it pops the stack and records into the
+//! histogram through this thread's cached handle.
 
 use crate::Verbosity;
 use std::cell::RefCell;
@@ -52,25 +55,30 @@ impl Drop for Span {
             return;
         };
         let secs = start.elapsed().as_secs_f64();
+        let traced = crate::verbosity() >= Verbosity::Trace;
         // A `start: Some` span always pushed, so the pop below stays
         // balanced; the fallible borrow mirrors `span()` for re-entrancy.
         let path = STACK.with(|s| match s.try_borrow_mut() {
             Ok(mut stack) => {
-                let path = stack.join(">");
+                let path = traced.then(|| stack.join(">"));
                 stack.pop();
                 path
             }
-            Err(_) => String::new(),
+            Err(_) => traced.then(String::new),
         });
-        // observe()/event() re-check the enabled flag, so disabling midway
-        // through a span only skips the record — the stack stays balanced.
-        crate::observe(&format!("{}.seconds", self.name), secs);
-        crate::event(
-            Verbosity::Trace,
-            self.name,
-            "span",
-            &[("path", path), ("secs", format!("{secs:.9}"))],
-        );
+        // Both records re-check the enabled flag, so disabling midway
+        // through a span only skips them — the stack stays balanced.
+        if crate::is_enabled() {
+            crate::registry::observe_span(self.name, secs);
+        }
+        if let Some(path) = path {
+            crate::event(
+                Verbosity::Trace,
+                self.name,
+                "span",
+                &[("path", path), ("secs", format!("{secs:.9}"))],
+            );
+        }
     }
 }
 

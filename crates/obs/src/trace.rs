@@ -99,7 +99,6 @@ pub(crate) fn intern_name(id: u32) -> String {
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(0);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(0);
-static RESET_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 fn next_trace() -> u32 {
     (NEXT_TRACE.fetch_add(1, Ordering::Relaxed) as u32).wrapping_add(1)
@@ -176,12 +175,12 @@ pub(crate) fn install_par_hook() {
     });
 }
 
-/// Rewinds the id counters and invalidates thread-local series caches.
-/// Part of [`crate::reset`]; quiesce tracing first.
+/// Rewinds the id counters. Part of [`crate::reset`], whose registry
+/// reset also moves the epoch that invalidates thread-local series
+/// caches; quiesce tracing first.
 pub(crate) fn reset() {
     NEXT_TRACE.store(0, Ordering::SeqCst);
     NEXT_SPAN.store(0, Ordering::SeqCst);
-    RESET_EPOCH.fetch_add(1, Ordering::SeqCst);
 }
 
 // --- phases and the per-thread series cache ----------------------------
@@ -253,7 +252,7 @@ struct Series {
 }
 
 thread_local! {
-    /// `(reset epoch, (listing_id << 32 | mech_id) -> handles)`.
+    /// `(registry reset epoch, (listing_id << 32 | mech_id) -> handles)`.
     static SERIES_CACHE: RefCell<(u64, BTreeMap<u64, Rc<Series>>)> =
         const { RefCell::new((0, BTreeMap::new())) };
 }
@@ -262,7 +261,7 @@ fn resolve_series(listing: &str, mechanism: &str) -> Rc<Series> {
     let listing_id = intern(listing);
     let mech_id = intern(mechanism);
     let key = pack(listing_id, mech_id);
-    let epoch = RESET_EPOCH.load(Ordering::Relaxed);
+    let epoch = registry::epoch();
     SERIES_CACHE.with(|cache| {
         // Re-entrant resolve (a histogram callback opening its own span)
         // would hit a live borrow; skip the cache rather than abort — the

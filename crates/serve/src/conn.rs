@@ -2,13 +2,12 @@
 //! encode → write, one cycle per scheduler turn.
 //!
 //! Each connection owns its buffers, its noise RNG (seeded by the client's
-//! `Hello` frame), and a [`SaleArena`], so a buy cycle allocates nothing in
-//! steady state. A quote cycle does allocate: `price_batch` builds a fresh
-//! arena and a fresh result vector for every batch. Batch admission
-//! happens in the dispatch phase: a run of consecutive buy (or quote)
-//! requests for the same listing is dispatched as *one*
-//! [`SharedBroker::buy_batch_into`] / `price_batch` call, turning network
-//! fan-in into one batch-kernel call.
+//! `Hello` frame), and a [`SaleArena`] that buys and quotes both run into,
+//! so neither a buy cycle nor a quote cycle allocates in steady state.
+//! Batch admission happens in the dispatch phase: a run of consecutive buy
+//! (or quote) requests for the same listing is dispatched as *one*
+//! [`SharedBroker::buy_batch_into`] / [`SharedBroker::price_batch_into`]
+//! call, turning network fan-in into one batch-kernel call.
 //! Because the kernel's RNG consumption depends only on request order —
 //! never on how the stream was chunked into batches — the responses a
 //! client sees are bit-identical no matter how its frames happened to
@@ -218,6 +217,7 @@ impl Conn {
     fn decode_frames(&mut self, cfg: &ConnConfig) -> bool {
         let _span = mbp_obs::span("mbp.serve.decode");
         let mut consumed = 0usize;
+        let mut frames = 0u64;
         let mut progress = false;
         loop {
             if self.pending.len() >= cfg.queue_limit {
@@ -256,7 +256,7 @@ impl Conn {
             let payload = frame.get(HEADER_LEN..).unwrap_or(&[]);
             consumed += total;
             progress = true;
-            mbp_obs::inc("mbp.serve.requests");
+            frames += 1;
             match decode_request(&header, payload) {
                 Ok(req) => {
                     self.pending
@@ -281,6 +281,9 @@ impl Conn {
                     ));
                 }
             }
+        }
+        if frames > 0 {
+            mbp_obs::counter_add("mbp.serve.requests", frames);
         }
         if consumed > 0 {
             self.read_buf.drain(..consumed.min(self.read_buf.len()));
@@ -426,10 +429,10 @@ impl Conn {
     }
 
     fn dispatch_quotes(&mut self, broker: &SharedBroker, kind: ModelKind) {
-        match broker.price_batch(kind, &self.batch_reqs) {
-            Ok(quotes) => {
+        match broker.price_batch_into(kind, &self.batch_reqs, &mut self.arena) {
+            Ok(()) => {
                 let _enc = mbp_obs::span("mbp.serve.encode");
-                for (&id, result) in self.batch_ids.iter().zip(quotes.iter()) {
+                for (&id, result) in self.batch_ids.iter().zip(self.arena.quotes()) {
                     match result {
                         Ok(q) => encode_quote_ok(
                             &mut self.write_buf,
